@@ -14,16 +14,15 @@ output (perfbench/check.py). The last line of stdout is one JSON object:
   setup_s       median of 5 cold starts: fresh copies of the inputs and of
                 the package (no bytecode yet), then the session's first
                 command (fit)
-  <cmd>_s       each command's fastest wall time over the measured passes,
-                from launch until the child is reaped (fit_s, evaluate_s,
-                predict_s, energy_model_s, energy_power_s, simulate_s, cost_s)
-  pipeline_s    the sum of those seven
+  pipeline_s    sum over the seven non-rejecting commands of each one's
+                fastest wall time in the run, from launch until the child
+                is reaped
   reject_s      the same sum over the three rejecting commands
   fit_rss_mb    median peak RSS of the fit child, from its own rusage
   peak_rss_mb   highest per-command median peak RSS
-The lines above it also print each command's median (<cmd>_s.median).
-Passes of the whole session repeat until --seconds have elapsed, and at
-least three times.
+The lines above it also print each command's fastest time (<cmd>_s) and
+median (<cmd>_s.median), with sample counts. Passes of the whole session
+repeat until --seconds have elapsed, and at least three times.
 
 --trace 1 runs each command once more in a child of its own through
 perfbench/stages.py, untraced and then traced: the untraced child gives the
@@ -66,11 +65,12 @@ DEFAULT_SECONDS = 35
 # whatever the caller set; stdlib and numpy bytecode is only read.
 BYTECODE_ENV = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
 
-# The end-to-end metrics the result line carries, besides setup_s.
-END_TO_END = (
-    "setup_s", "pipeline_s", "fit_s", "evaluate_s", "predict_s", "energy_model_s",
-    "energy_power_s", "simulate_s", "cost_s", "reject_s", "fit_rss_mb", "peak_rss_mb",
-)
+# The end-to-end metrics the result line carries. Each command's own time
+# is printed and is a per-layer metric (cli.<cmd>.wall_s); it is not held
+# to a bound, because on a shared host single commands spread up to 0.28
+# over ten runs, wider than the largest bound allowed, while the sums
+# stayed within it.
+END_TO_END = ("setup_s", "pipeline_s", "reject_s", "fit_rss_mb", "peak_rss_mb")
 
 COMMANDS = ("fit", "evaluate", "predict", "energy_model", "energy_power", "simulate", "cost")
 REJECTS = ("reject_cpu", "reject_dup", "reject_rank")
@@ -281,10 +281,10 @@ def measure_end_to_end(run: Run, seconds: float) -> tuple[dict, dict]:
         run.session_pass(samples)
         passes += 1
     # A shared host slows every process down in phases of a few seconds, by
-    # up to 1.8x, and never speeds one up: the fastest sample of a run is
-    # the command's own cost, and it repeats from run to run where the
-    # median does not (quartile spread over ten runs 0.03-0.14 against
-    # 0.1-0.32). Medians are printed alongside.
+    # up to 1.8x, and never speeds one up, so a run's fastest sample is the
+    # closest to the command's own cost. Over ten runs, sums of fastest
+    # samples spread 0.03-0.22 between quartiles, sums of medians up to
+    # 0.27. Medians are printed alongside.
     best = {name: min(c.wall_s for c in samples[name]) for name in SESSION}
     typical = {name: median(c.wall_s for c in samples[name]) for name in SESSION}
     rss = {name: median(c.rss_mb for c in samples[name]) for name in SESSION}
