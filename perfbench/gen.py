@@ -59,35 +59,34 @@ class Workload:
     simulate_interval_s: float
 
 
-# Both workloads hold 43,200 metric rows. The run budget (about 45 s per
-# run) and this kind of machine's timing noise (7-12% between repeats of
-# one command) call for at least seven samples of each of ten commands, so
-# the ROADMAP's 86,400- and 864,000-row reference sizes do not fit. The two
-# differ in what the data path sees: bytes per row, a meter on its own
-# clock (ties, gaps, dropped rows) against a shared grid, and the share of
-# start-up in each command.
+# Both workloads hold 28,800 metric rows. A run has 60 s, and its upper
+# quartiles need about ten samples of each command, so the ROADMAP's
+# 86,400- and 864,000-row reference sizes do not fit. The two differ in
+# what the data path sees: bytes per row, a meter on its own clock (ties,
+# gaps, dropped rows) against a shared grid, and the share of start-up in
+# each command.
 WORKLOADS = {
     "fit-10d": Workload(
         name="fit-10d",
         trace=TraceSpec(
-            rows=43_200,
-            interval_s=20.0,
+            rows=28_800,
+            interval_s=30.0,
             t0=1_700_000_000.0,
             fields="repr",
             meter_offset=0.3,
             meter_jitter=0.05,
-            tie_rows=300,
+            tie_rows=200,
             gaps=3,
-            gap_rows=(18, 48),
+            gap_rows=(12, 32),
         ),
         simulate_duration_s=864_000.0,
-        simulate_interval_s=20.0,
+        simulate_interval_s=30.0,
     ),
     "day-cli": Workload(
         name="day-cli",
-        trace=TraceSpec(rows=43_200, interval_s=2.0, t0=0.0, fields="fixed"),
+        trace=TraceSpec(rows=28_800, interval_s=3.0, t0=0.0, fields="fixed"),
         simulate_duration_s=86_400.0,
-        simulate_interval_s=2.0,
+        simulate_interval_s=3.0,
     ),
 }
 
