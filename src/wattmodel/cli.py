@@ -15,12 +15,15 @@ WATT_NO_COLOR to disable table styling.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .energy import EnergyError, integrate, integrate_predicted
 from .powermodel import (
@@ -37,6 +40,7 @@ from .simgen import PROFILES, GroundTruth, SimConfig, SimConfigError, describe, 
 from .tariff import (
     Tariff,
     TariffError,
+    _render_table,
     breakdown,
     breakdown_as_json,
     project_cost,
@@ -48,6 +52,7 @@ from .trace import (
     TraceError,
     align,
     default_tolerance,
+    format_csv,
     format_metrics,
     format_power,
     parse_metrics,
@@ -103,20 +108,13 @@ def _format_p(p: float) -> str:
 def _coefficient_table(model: PowerModel) -> str:
     diag = model.diagnostics
     values = (model.alpha, model.beta_cpu, model.beta_mem, model.beta_disk, model.beta_net)
-    header = ("Coefficient", "Symbol", "Value", "Std. error", "t", "p")
-    rows = []
-    for (name, symbol), value, se, t, p in zip(
-        COEFF_TABLE_ROWS, values, diag.std_errors, diag.t_stats, diag.p_values
-    ):
-        rows.append((name, symbol, f"{value:.6g}", f"{se:.6g}", f"{t:.6g}", _format_p(p)))
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
-
-    def fmt(cells):
-        return "  ".join(c.ljust(widths[i]) for i, c in enumerate(cells)).rstrip()
-
-    lines = [fmt(header), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in rows)
-    return "\n".join(lines)
+    rows = [
+        (name, symbol, f"{value:.6g}", f"{se:.6g}", f"{t:.6g}", _format_p(p))
+        for (name, symbol), value, se, t, p in zip(
+            COEFF_TABLE_ROWS, values, diag.std_errors, diag.t_stats, diag.p_values
+        )
+    ]
+    return _render_table(("Coefficient", "Symbol", "Value", "Std. error", "t", "p"), rows)
 
 
 def _resolve_tolerance(args, metrics) -> float:
@@ -165,10 +163,8 @@ def cmd_predict(args) -> int:
     metrics = parse_metrics(_read_text(args.metrics))
     if not metrics:
         raise TraceError("metrics file contains no samples")
-    lines = ["timestamp,predicted_power_w"]
-    for m in metrics:
-        lines.append(f"{m.timestamp!r},{predict(model, m)!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = np.column_stack([metrics.timestamp, predict(model, metrics)])
+    Path(args.out).write_text(format_csv("timestamp,predicted_power_w", rows), encoding="utf-8")
     print(f"{len(metrics)} predictions written to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -179,18 +175,7 @@ def cmd_evaluate(args) -> int:
     power = parse_power(_read_text(args.power))
     tolerance = _resolve_tolerance(args, metrics)
     aligned = align(metrics, power, tolerance)
-    report = evaluate(model, aligned)
-    print(
-        json.dumps(
-            {
-                "mape": report.mape,
-                "accuracy": report.accuracy,
-                "max_abs_error_w": report.max_abs_error_w,
-                "n": report.n,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(dataclasses.asdict(evaluate(model, aligned)), indent=2))
     return EXIT_OK
 
 

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .powermodel import PowerModel, predict
-from .trace import MetricSample, PowerSample
+from .trace import MetricTrace
 
 WATT_SECONDS_PER_KWH = 3_600_000.0
 SECONDS_PER_DAY = 86_400.0
@@ -74,19 +73,17 @@ def _integrate_series(timestamps: np.ndarray, watts: np.ndarray) -> EnergyReport
     )
 
 
-def integrate(power: Sequence[PowerSample]) -> EnergyReport:
-    """Energy of a metered power series."""
-    ts = np.array([s.timestamp for s in power], dtype=float)
-    watts = np.array([s.power_w for s in power], dtype=float)
-    return _integrate_series(ts, watts)
+def integrate(power) -> EnergyReport:
+    """Energy of a metered power series: a PowerTrace or PowerSample records."""
+    timestamps, watts = np.asarray(power, dtype=float).reshape(-1, 2).T
+    return _integrate_series(timestamps, watts)
 
 
-def integrate_predicted(model: PowerModel, metrics: Sequence[MetricSample]) -> EnergyReport:
-    """Energy of the model's predictions over a metric series.
+def integrate_predicted(model: PowerModel, metrics) -> EnergyReport:
+    """Energy of the model's predictions over a MetricTrace (or its records).
 
     Predictions are unclamped, so unlike metered samples the integrand may
     dip to zero or below; any finite values integrate.
     """
-    ts = np.array([m.timestamp for m in metrics], dtype=float)
-    watts = np.array([predict(model, m) for m in metrics], dtype=float)
-    return _integrate_series(ts, watts)
+    metrics = MetricTrace.of(metrics)
+    return _integrate_series(metrics.timestamp, predict(model, metrics))

@@ -53,13 +53,8 @@ class EvaluationReport:
 
 def train(trace: AlignedTrace, hardware_id: str = "", created_at: float | None = None) -> PowerModel:
     """Fit the model to an aligned trace; the intercept is the baseline power."""
-    rows = trace.rows
     design = DesignMatrix.from_regressors(
-        cpu=[r.cpu for r in rows],
-        mem=[r.mem for r in rows],
-        disk=[r.disk for r in rows],
-        net=[r.net for r in rows],
-        power=[r.power_w for r in rows],
+        cpu=trace.cpu, mem=trace.mem, disk=trace.disk, net=trace.net, power=trace.power_w
     )
     coef, diagnostics = fit_ols(design)
     return PowerModel(
@@ -74,9 +69,11 @@ def train(trace: AlignedTrace, hardware_id: str = "", created_at: float | None =
     )
 
 
-def predict(model: PowerModel, sample) -> float:
-    """Predicted watts for one sample (anything with cpu/mem/disk/net).
+def predict(model: PowerModel, sample):
+    """Predicted watts for anything with cpu/mem/disk/net.
 
+    A record gives one float; a trace gives a float64 array, one value per
+    row. Any model-like object with alpha and beta_* coefficients serves.
     Unclamped: an adversarial model can predict below alpha or below zero,
     and the value is returned as computed.
     """
@@ -91,20 +88,15 @@ def predict(model: PowerModel, sample) -> float:
 
 def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
     """MAPE of predictions against metered power; accuracy = 100 - MAPE."""
-    if not trace.rows:
+    if not len(trace):
         raise ValueError("cannot evaluate on an empty trace")
-    pct_errors = []
-    max_abs = 0.0
-    for row in trace.rows:
-        err = abs(predict(model, row) - row.power_w)
-        max_abs = max(max_abs, err)
-        pct_errors.append(err / row.power_w)
-    mape = 100.0 * float(np.mean(pct_errors))
+    errors = np.abs(predict(model, trace) - trace.power_w)
+    mape = 100.0 * float(np.mean(errors / trace.power_w))
     return EvaluationReport(
         mape=mape,
         accuracy=100.0 - mape,
-        max_abs_error_w=max_abs,
-        n=len(trace.rows),
+        max_abs_error_w=float(errors.max()),
+        n=len(trace),
     )
 
 

@@ -1,10 +1,10 @@
 """Ordinary least squares with full inferential diagnostics.
 
-The solver is written directly on Householder reflections rather than the
+The solver is a QR factorization (LAPACK, through numpy) rather than the
 normal equations: the regressor columns here routinely span ten orders of
 magnitude (a CPU fraction next to raw byte counters), and squaring the
-condition number via X'X is not acceptable on such designs. Q is never
-materialized; reflections are applied to the response in place.
+condition number via X'X is not acceptable on such designs. Factoring
+[X | y] together yields R and Q'y at once, so Q is never materialized.
 
 Two-sided Student-t tail probabilities come from the regularized incomplete
 beta function, evaluated by continued fraction (modified Lentz). Extreme
@@ -100,47 +100,6 @@ class DesignMatrix:
         return cls(x=x, y=y)
 
 
-def _householder_reduce(x: np.ndarray, y: np.ndarray):
-    """Reduce [x | y] by Householder reflections; return (R, Q'y).
-
-    Each reflection H = I - 2 v v'/(v'v) zeroes one column below the
-    diagonal and is applied to the trailing columns and to y, so Q itself
-    is never formed. A zero pivot column is skipped and surfaces as a zero
-    R diagonal for the rank check.
-    """
-    a = np.array(x, dtype=float, copy=True)
-    z = np.array(y, dtype=float, copy=True)
-    n, p = a.shape
-    for j in range(p):
-        v = a[j:, j].copy()
-        norm = math.sqrt(float(v @ v))
-        if norm == 0.0:
-            continue
-        # sign chosen to add magnitudes, never cancel
-        v[0] += norm if v[0] >= 0.0 else -norm
-        scale = 2.0 / float(v @ v)
-        a[j:, j:] -= np.outer(v, scale * (v @ a[j:, j:]))
-        z[j:] -= v * (scale * float(v @ z[j:]))
-    return np.triu(a[:p, :p]), z[:p]
-
-
-def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    p = r.shape[0]
-    out = np.zeros(p)
-    for i in range(p - 1, -1, -1):
-        out[i] = (b[i] - float(r[i, i + 1 :] @ out[i + 1 :])) / r[i, i]
-    return out
-
-
-def _upper_inverse(r: np.ndarray) -> np.ndarray:
-    p = r.shape[0]
-    inv = np.zeros((p, p))
-    eye = np.eye(p)
-    for j in range(p):
-        inv[:, j] = _back_substitute(r, eye[:, j])
-    return inv
-
-
 def fit_ols(design: DesignMatrix) -> tuple[np.ndarray, FitDiagnostics]:
     """Least-squares coefficients plus standard errors, t-stats, p-values, R².
 
@@ -151,19 +110,21 @@ def fit_ols(design: DesignMatrix) -> tuple[np.ndarray, FitDiagnostics]:
     n, p = x.shape
     col_norms = np.sqrt((x * x).sum(axis=0))
 
-    r, qty = _householder_reduce(x, y)
+    # R of [x | y]: its leading p x p block is R of x, its last column Q'y
+    r_xy = np.linalg.qr(np.column_stack([x, y]), mode="r")
+    r, qty = r_xy[:p, :p], r_xy[:p, p]
     for j in range(p):
         if abs(r[j, j]) <= RANK_RTOL * col_norms[j]:
             raise RankDeficiencyError(COLUMN_NAMES[j])
 
-    beta = _back_substitute(r, qty)
+    beta = np.linalg.solve(r, qty)
     resid = y - x @ beta
     ssr = float(resid @ resid)
     df = n - p
     sigma2 = ssr / df
     residual_sigma = math.sqrt(sigma2)
 
-    r_inv = _upper_inverse(r)
+    r_inv = np.linalg.inv(r)
     xtx_inv_diag = (r_inv * r_inv).sum(axis=1)
     std_errors = np.sqrt(sigma2 * xtx_inv_diag)
 

@@ -16,7 +16,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .trace import MetricSample, PowerSample
+import numpy as np
+
+from .powermodel import predict
+from .trace import MetricTrace, PowerTrace
 
 PROFILES = ("idle", "constant", "diurnal", "bursty")
 
@@ -175,41 +178,31 @@ def _regressors(config: SimConfig, rng: PortableRandom):
     return bursty
 
 
-def generate(config: SimConfig) -> tuple[list[MetricSample], list[PowerSample]]:
+def generate(config: SimConfig) -> tuple[MetricTrace, PowerTrace]:
     """Produce paired metric and power streams on one timestamp grid."""
     rng = PortableRandom(config.seed)
     sample_fn = _regressors(config, rng)
-    truth = config.truth
     n = max(2, int(round(config.duration_s / config.interval_s)))
+    sigma = config.noise_sigma_w
 
-    metrics: list[MetricSample] = []
-    power: list[PowerSample] = []
-    floored = 0
-    for i in range(n):
-        t = i * config.interval_s
-        cpu, mem, disk, net = sample_fn(t)
-        watts = (
-            truth.alpha
-            + truth.beta_cpu * cpu
-            + truth.beta_mem * mem
-            + truth.beta_disk * disk
-            + truth.beta_net * net
-        )
-        if config.noise_sigma_w > 0.0:
-            watts += config.noise_sigma_w * rng.gaussian()
-        if watts < 1.0:
-            watts = 1.0
-            floored += 1
-        metrics.append(MetricSample(t, cpu, mem, disk, net))
-        power.append(PowerSample(t, watts))
+    def draws():
+        for i in range(n):
+            t = i * config.interval_s
+            # each sample's noise draw follows its own regressor draws
+            yield (t, *sample_fn(t), rng.gaussian() if sigma > 0.0 else 0.0)
 
-    if floored:
+    data = np.fromiter(draws(), dtype=(float, 6), count=n)
+    metrics = MetricTrace(data[:, :5])
+    watts = predict(config.truth, metrics) + sigma * data[:, 5]
+    floored = watts < 1.0
+    watts[floored] = 1.0
+    if floored.any():
         warnings.warn(
-            f"{floored} of {n} generated power samples fell below 1 W and were floored",
+            f"{int(floored.sum())} of {n} generated power samples fell below 1 W and were floored",
             FloorWarning,
             stacklevel=2,
         )
-    return metrics, power
+    return metrics, PowerTrace(np.column_stack([metrics.timestamp, watts]))
 
 
 def describe(config: SimConfig) -> str:

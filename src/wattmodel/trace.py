@@ -8,15 +8,23 @@ Power CSV:    header ``timestamp,power_w`` with wall power in watts (> 0).
 Timestamps are decimal seconds (epoch or run-relative); only deltas matter.
 Both streams must be strictly increasing in time: duplicate timestamps make
 "nearest sample" pairing ambiguous and are rejected.
+
+A trace is held as read-only float64 columns (MetricTrace, PowerTrace,
+AlignedTrace). Each is built from rows by one constructor, which checks the
+rules above once; each field is a column under the field's name, and the
+trace still has a length, indexes and iterates as row records
+(MetricSample, PowerSample, AlignedRow).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, TextIO, Union
+from typing import NamedTuple, TextIO, Union
+
+import numpy as np
 
 METRICS_HEADER = "timestamp,cpu,mem,disk,net"
 POWER_HEADER = "timestamp,power_w"
@@ -44,8 +52,17 @@ class AlignmentError(TraceError):
         self.n_dropped = n_dropped
 
 
-@dataclass(frozen=True, slots=True)
-class MetricSample:
+class _RowError(TraceError):
+    """A row breaks a trace rule; keeps the 0-based row, the column and the reason."""
+
+    def __init__(self, row: int, column: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.column = column
+        self.reason = reason
+
+
+class MetricSample(NamedTuple):
     """One timestamped observation of resource usage."""
 
     timestamp: float
@@ -54,29 +71,12 @@ class MetricSample:
     disk: float
     net: float
 
-    def __post_init__(self):
-        for name in ("timestamp", "cpu", "mem", "disk", "net"):
-            if not math.isfinite(getattr(self, name)):
-                raise TraceError(f"MetricSample.{name} must be finite")
-        if not 0.0 <= self.cpu <= 1.0:
-            raise TraceError(f"cpu {self.cpu} outside [0, 1]")
-        for name in ("mem", "disk", "net"):
-            if getattr(self, name) < 0.0:
-                raise TraceError(f"{name} must be >= 0, got {getattr(self, name)}")
 
-
-@dataclass(frozen=True, slots=True)
-class PowerSample:
+class PowerSample(NamedTuple):
     """One timestamped wall-power reading in watts."""
 
     timestamp: float
     power_w: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.timestamp):
-            raise TraceError("PowerSample.timestamp must be finite")
-        if not math.isfinite(self.power_w) or self.power_w <= 0.0:
-            raise TraceError(f"power_w must be > 0 and finite, got {self.power_w}")
 
 
 class AlignedRow(NamedTuple):
@@ -97,170 +97,257 @@ class AlignmentMeta:
     n_dropped: int
 
 
-@dataclass(frozen=True)
-class AlignedTrace:
-    """Paired (regressors, power) rows, strictly increasing in time."""
+# Value rules by field, in the order a row's faults are reported:
+# (field, mask of the column's bad values, reason taking the value).
+_RULES = (
+    ("cpu", lambda v: ~((v >= 0.0) & (v <= 1.0)), "cpu {} outside [0, 1]"),
+    ("mem", lambda v: v < 0.0, "mem must be >= 0, got {}"),
+    ("disk", lambda v: v < 0.0, "disk must be >= 0, got {}"),
+    ("net", lambda v: v < 0.0, "net must be >= 0, got {}"),
+    ("power_w", lambda v: v <= 0.0, "power_w must be > 0, got {}"),
+)
 
-    rows: tuple[AlignedRow, ...]
-    source_meta: AlignmentMeta
 
-    def __post_init__(self):
-        prev = -math.inf
-        for row in self.rows:
-            if row.timestamp <= prev:
-                raise TraceError(
-                    f"aligned rows must be strictly increasing in time "
-                    f"(timestamp {row.timestamp} after {prev})"
-                )
-            prev = row.timestamp
+def _first_invalid_row(data: np.ndarray, fields: tuple[str, ...]):
+    """(row, column, reason) for the first row that breaks a rule, else None.
+
+    Within a row, a non-finite field comes first, then the value rules,
+    then the ordering against the previous row.
+    """
+    if not len(data):
+        return None
+    stamps = data[:, 0]
+    checks = [(j, ~np.isfinite(data[:, j]), f"non-finite value {{!r}} for {name}")
+              for j, name in enumerate(fields)]
+    checks += [(fields.index(name), bad(data[:, fields.index(name)]), reason)
+               for name, bad, reason in _RULES if name in fields]
+    checks += [
+        (0, np.r_[False, stamps[1:] < stamps[:-1]], "timestamp {} decreases from previous {}"),
+        (0, np.r_[False, stamps[1:] == stamps[:-1]], "duplicate timestamp {}"),
+    ]
+    invalid = np.logical_or.reduce([mask for _, mask, _ in checks])
+    if not invalid.any():
+        return None
+    row = int(invalid.argmax())
+    column, reason = next((j, reason) for j, mask, reason in checks if mask[row])
+    previous = data[row - 1, 0].item() if row else None
+    return row, column, reason.format(data[row, column].item(), previous)
+
+
+class _Columns:
+    """Rows of one record type, held as read-only float64 columns.
+
+    Built from any array-like of rows (records, tuples, a 2-D array, another
+    trace); the rows are copied and checked once. Each field is a column
+    attribute of the same name.
+    """
+
+    record: type  # the NamedTuple a row converts to
+
+    def __init__(self, rows=()):
+        fields = self.record._fields
+        data = np.array(rows, dtype=float)
+        if data.size == 0:
+            data = data.reshape(0, len(fields))
+        if data.ndim != 2 or data.shape[1] != len(fields):
+            raise TraceError(f"{type(self).__name__} rows must have the fields {fields}")
+        problem = _first_invalid_row(data, fields)
+        if problem:
+            raise _RowError(*problem)
+        data.flags.writeable = False
+        self._data = data
+        for name, column in zip(fields, data.T):
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, rows):
+        """rows itself if it already is a cls, else cls(rows)."""
+        return rows if isinstance(rows, cls) else cls(rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._data)
+
+    def __getitem__(self, index: int):
+        return self.record._make(self._data[index].tolist())
+
+    def __iter__(self):
+        return map(self.record._make, self._data.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._data, dtype=dtype, copy=copy)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self._data, other._data)
 
 
-def _parse_float(raw: str, field: str, line_no: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(line_no, f"non-numeric value {raw!r} for {field}") from None
-    if not math.isfinite(value):
-        raise ParseError(line_no, f"non-finite value {raw!r} for {field}")
-    return value
+class MetricTrace(_Columns):
+    """Metric samples as columns timestamp, cpu, mem, disk, net."""
+
+    record = MetricSample
 
 
-def _check_order(timestamp: float, prev: float | None, line_no: int) -> None:
-    if prev is None:
-        return
-    if timestamp < prev:
-        raise ParseError(line_no, f"timestamp {timestamp} decreases from previous {prev}")
-    if timestamp == prev:
-        raise ParseError(line_no, f"duplicate timestamp {timestamp}")
+class PowerTrace(_Columns):
+    """Power readings as columns timestamp, power_w."""
+
+    record = PowerSample
 
 
-def _iter_csv(text: Union[str, TextIO], header: str):
-    """Yield (line_no, fields) for each data line after checking the header."""
+class AlignedTrace(_Columns):
+    """Paired (regressors, power) rows, strictly increasing in time.
+
+    Columns timestamp, cpu, mem, disk, net, power_w.
+    """
+
+    record = AlignedRow
+
+    def __init__(self, rows, source_meta: AlignmentMeta):
+        super().__init__(rows)
+        self.source_meta = source_meta
+
+    @property
+    def rows(self) -> tuple[AlignedRow, ...]:
+        return tuple(self)
+
+    def __eq__(self, other):
+        same = super().__eq__(other)
+        return same if same is NotImplemented else same and self.source_meta == other.source_meta
+
+
+def _floats(lines: list[str], width: int):
+    """Every field of every non-blank line, converted by float().
+
+    Raises ValueError at the first line with the wrong field count or a
+    field float() rejects.
+    """
+    for line in lines:
+        fields = line.split(",")
+        if len(fields) == width:
+            for raw in fields:
+                yield float(raw)
+        elif line.strip():
+            raise ValueError(line)
+
+
+def _line_fault(line: str, fields: tuple[str, ...]) -> str | None:
+    """Why a data line cannot be read (field count, first bad field), or None."""
+    raws = line.strip().split(",")
+    if len(raws) != len(fields):
+        return f"expected {len(fields)} fields, got {len(raws)}"
+    for raw, name in zip(raws, fields):
+        try:
+            value = float(raw)
+        except ValueError:
+            return f"non-numeric value {raw!r} for {name}"
+        if not math.isfinite(value):
+            return f"non-finite value {raw!r} for {name}"
+    return None
+
+
+def _data_line(lines: list[str], row: int) -> tuple[int, list[str]]:
+    """1-based line number and fields of the row-th non-blank data line."""
+    numbered = ((no, line) for no, line in enumerate(lines, start=2) if line.strip())
+    line_no, line = next(itertools.islice(numbered, row, None))
+    return line_no, line.strip().split(",")
+
+
+def _parse(text: Union[str, TextIO], kind: type[_Columns]):
+    """Parse a CSV stream into a trace; the first faulty line raises ParseError."""
     if hasattr(text, "read"):
         text = text.read()
+    fields = kind.record._fields
+    header = ",".join(fields)
     lines = text.splitlines()
     if not lines or lines[0].strip() != header:
         found = lines[0].strip() if lines else "<empty stream>"
         raise ParseError(1, f"expected header {header!r}, found {found!r}")
-    n_fields = header.count(",") + 1
-    for line_no, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != n_fields:
-            raise ParseError(line_no, f"expected {n_fields} fields, got {len(fields)}")
-        yield line_no, fields
+    body = lines[1:]
+    bad_line = None
+    try:
+        values = np.fromiter(_floats(body, len(fields)), float)
+    except ValueError:
+        # the first line with a bad field count or value; an earlier line
+        # may still break a rule, and that fault comes first
+        bad_line = next(i for i, line in enumerate(body) if line.strip() and _line_fault(line, fields))
+        values = np.fromiter(_floats(body[:bad_line], len(fields)), float)
+    data = values.reshape(-1, len(fields))
+    try:
+        trace = kind(data)
+    except _RowError as exc:
+        line_no, raws = _data_line(body, exc.row)
+        reason = exc.reason
+        if not math.isfinite(data[exc.row, exc.column]):
+            reason = f"non-finite value {raws[exc.column]!r} for {fields[exc.column]}"
+        raise ParseError(line_no, reason) from None
+    if bad_line is not None:
+        raise ParseError(bad_line + 2, _line_fault(body[bad_line], fields))
+    return trace
 
 
-def parse_metrics(text: Union[str, TextIO]) -> list[MetricSample]:
-    """Parse a metrics CSV stream into samples, verifying order and ranges."""
-    samples: list[MetricSample] = []
-    prev_ts: float | None = None
-    for line_no, fields in _iter_csv(text, METRICS_HEADER):
-        ts, cpu, mem, disk, net = (
-            _parse_float(raw, name, line_no)
-            for raw, name in zip(fields, ("timestamp", "cpu", "mem", "disk", "net"))
-        )
-        if not 0.0 <= cpu <= 1.0:
-            raise ParseError(line_no, f"cpu {cpu} outside [0, 1]")
-        for value, name in ((mem, "mem"), (disk, "disk"), (net, "net")):
-            if value < 0.0:
-                raise ParseError(line_no, f"{name} must be >= 0, got {value}")
-        _check_order(ts, prev_ts, line_no)
-        prev_ts = ts
-        samples.append(MetricSample(ts, cpu, mem, disk, net))
-    return samples
+def parse_metrics(text: Union[str, TextIO]) -> MetricTrace:
+    """Parse a metrics CSV stream, verifying order and ranges."""
+    return _parse(text, MetricTrace)
 
 
-def parse_power(text: Union[str, TextIO]) -> list[PowerSample]:
-    """Parse a power CSV stream into samples, verifying order and positivity."""
-    samples: list[PowerSample] = []
-    prev_ts: float | None = None
-    for line_no, fields in _iter_csv(text, POWER_HEADER):
-        ts = _parse_float(fields[0], "timestamp", line_no)
-        power = _parse_float(fields[1], "power_w", line_no)
-        if power <= 0.0:
-            raise ParseError(line_no, f"power_w must be > 0, got {power}")
-        _check_order(ts, prev_ts, line_no)
-        prev_ts = ts
-        samples.append(PowerSample(ts, power))
-    return samples
+def parse_power(text: Union[str, TextIO]) -> PowerTrace:
+    """Parse a power CSV stream, verifying order and positivity."""
+    return _parse(text, PowerTrace)
 
 
-def format_metrics(samples: Sequence[MetricSample]) -> str:
-    """Render samples back to metrics CSV; floats keep round-trip precision."""
-    lines = [METRICS_HEADER]
-    for s in samples:
-        lines.append(f"{s.timestamp!r},{s.cpu!r},{s.mem!r},{s.disk!r},{s.net!r}")
-    return "\n".join(lines) + "\n"
+def format_csv(header: str, rows) -> str:
+    """Render rows (a trace or any array-like of rows) as CSV under header.
+
+    Floats are written with repr, so they keep round-trip precision.
+    """
+    columns = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1).T.tolist()
+    lines = map(",".join, zip(*(map(repr, column) for column in columns)))
+    return "\n".join([header, *lines]) + "\n"
 
 
-def format_power(samples: Sequence[PowerSample]) -> str:
-    """Render samples back to power CSV; floats keep round-trip precision."""
-    lines = [POWER_HEADER]
-    for s in samples:
-        lines.append(f"{s.timestamp!r},{s.power_w!r}")
-    return "\n".join(lines) + "\n"
+def format_metrics(samples) -> str:
+    """Render metric samples back to metrics CSV."""
+    return format_csv(METRICS_HEADER, samples)
 
 
-def default_tolerance(metrics: Sequence[MetricSample]) -> float:
+def format_power(samples) -> str:
+    """Render power samples back to power CSV."""
+    return format_csv(POWER_HEADER, samples)
+
+
+def default_tolerance(metrics) -> float:
     """Half the median metric sampling interval, the default pairing window."""
+    metrics = MetricTrace.of(metrics)
     if len(metrics) < 2:
         raise TraceError("need at least 2 metric samples to derive a tolerance")
-    intervals = [b.timestamp - a.timestamp for a, b in zip(metrics, metrics[1:])]
-    return statistics.median(intervals) / 2.0
+    return statistics.median(np.diff(metrics.timestamp).tolist()) / 2.0
 
 
-def _require_strictly_increasing(timestamps: Sequence[float], stream: str) -> None:
-    for prev, cur in zip(timestamps, timestamps[1:]):
-        if cur <= prev:
-            raise TraceError(
-                f"{stream} timestamps must be strictly increasing "
-                f"({cur} after {prev})"
-            )
-
-
-def align(
-    metrics: Sequence[MetricSample],
-    power: Sequence[PowerSample],
-    tolerance_s: float,
-) -> AlignedTrace:
+def align(metrics, power, tolerance_s: float) -> AlignedTrace:
     """Pair each metric sample with the nearest power sample within tolerance.
 
-    Metric samples with no power sample in range are dropped (and counted);
-    one power sample may serve several metric samples. Equidistant candidates
+    Either stream may be a trace or a sequence of its records. Metric
+    samples with no power sample in range are dropped (and counted); one
+    power sample may serve several metric samples. Equidistant candidates
     resolve to the earlier power sample.
     """
     if not (tolerance_s > 0.0) or not math.isfinite(tolerance_s):
         raise TraceError(f"tolerance_s must be a positive number, got {tolerance_s}")
-    metric_ts = [m.timestamp for m in metrics]
-    power_ts = [p.timestamp for p in power]
-    _require_strictly_increasing(metric_ts, "metric")
-    _require_strictly_increasing(power_ts, "power")
+    metrics, power = MetricTrace.of(metrics), PowerTrace.of(power)
 
-    rows: list[AlignedRow] = []
-    dropped = 0
-    for m in metrics:
-        i = bisect_left(power_ts, m.timestamp)
-        best = None
-        best_dist = math.inf
-        # earlier candidate first so that equal distances keep it
-        for j in (i - 1, i):
-            if 0 <= j < len(power_ts):
-                dist = abs(power_ts[j] - m.timestamp)
-                if dist < best_dist:
-                    best, best_dist = power[j], dist
-        if best is not None and best_dist <= tolerance_s:
-            rows.append(AlignedRow(m.timestamp, m.cpu, m.mem, m.disk, m.net, best.power_w))
-        else:
-            dropped += 1
+    stamps = metrics.timestamp
+    # power timestamps padded so every metric sample has a neighbour each side
+    padded = np.concatenate(([-np.inf], power.timestamp, [np.inf]))
+    after = np.searchsorted(power.timestamp, stamps)  # first power sample at or after
+    earlier_gap = stamps - padded[after]
+    later_gap = padded[after + 1] - stamps
+    take_earlier = earlier_gap <= later_gap
+    nearest = np.where(take_earlier, after - 1, after)
+    keep = np.where(take_earlier, earlier_gap, later_gap) <= tolerance_s
 
+    dropped = len(metrics) - int(keep.sum())
     meta = AlignmentMeta(n_metrics=len(metrics), n_power=len(power), n_dropped=dropped)
-    if not rows:
+    if dropped == len(metrics):
         raise AlignmentError(
             f"no metric sample found a power sample within {tolerance_s} s "
             f"({meta.n_metrics} metric and {meta.n_power} power samples, "
@@ -269,4 +356,5 @@ def align(
             n_power=meta.n_power,
             n_dropped=dropped,
         )
-    return AlignedTrace(rows=tuple(rows), source_meta=meta)
+    rows = np.column_stack([np.asarray(metrics)[keep], power.power_w[nearest[keep]]])
+    return AlignedTrace(rows, source_meta=meta)

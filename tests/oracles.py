@@ -4,7 +4,8 @@ Nothing here touches the production solver. Coefficients are re-derived by
 Gaussian elimination on the normal equations, standard errors from an
 explicit (X'X)^-1, and t-distribution tail probabilities by direct numerical
 integration of the density. Agreement between these routes and the library
-is what the regression tests assert.
+is what the regression tests assert. A line-at-a-time CSV parser is the
+reference for the columnar trace parser.
 """
 
 import math
@@ -82,3 +83,82 @@ def t_sf_two_sided_quadrature(t, df, panels=20000):
     weights[2:-1:2] = 2.0
     integral = float(weights @ density) * (at / panels) / 3.0
     return max(0.0, 1.0 - 2.0 * integral)
+
+
+# ---------------------------------------------------------------- CSV parser
+#
+# The line-at-a-time trace parser as it stood before parsing moved to
+# float64 columns: each field converted and checked in turn, each line
+# checked against the previous one, and the first failing line reported.
+# The columnar parser must agree with it on values and on the first error.
+
+METRICS_FIELDS = ("timestamp", "cpu", "mem", "disk", "net")
+POWER_FIELDS = ("timestamp", "power_w")
+
+
+class OracleParseError(ValueError):
+    def __init__(self, line_no, message):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
+def _oracle_float(raw, field, line_no):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise OracleParseError(line_no, f"non-numeric value {raw!r} for {field}") from None
+    if not math.isfinite(value):
+        raise OracleParseError(line_no, f"non-finite value {raw!r} for {field}")
+    return value
+
+
+def _oracle_order(timestamp, prev, line_no):
+    if prev is None:
+        return
+    if timestamp < prev:
+        raise OracleParseError(line_no, f"timestamp {timestamp} decreases from previous {prev}")
+    if timestamp == prev:
+        raise OracleParseError(line_no, f"duplicate timestamp {timestamp}")
+
+
+def _oracle_lines(text, fields):
+    header = ",".join(fields)
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        found = lines[0].strip() if lines else "<empty stream>"
+        raise OracleParseError(1, f"expected header {header!r}, found {found!r}")
+    for line_no, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        raw = line.split(",")
+        if len(raw) != len(fields):
+            raise OracleParseError(line_no, f"expected {len(fields)} fields, got {len(raw)}")
+        yield line_no, [_oracle_float(r, f, line_no) for r, f in zip(raw, fields)]
+
+
+def oracle_parse_metrics(text):
+    """Rows of (timestamp, cpu, mem, disk, net), or OracleParseError."""
+    rows, prev = [], None
+    for line_no, (ts, cpu, mem, disk, net) in _oracle_lines(text, METRICS_FIELDS):
+        if not 0.0 <= cpu <= 1.0:
+            raise OracleParseError(line_no, f"cpu {cpu} outside [0, 1]")
+        for value, name in ((mem, "mem"), (disk, "disk"), (net, "net")):
+            if value < 0.0:
+                raise OracleParseError(line_no, f"{name} must be >= 0, got {value}")
+        _oracle_order(ts, prev, line_no)
+        prev = ts
+        rows.append((ts, cpu, mem, disk, net))
+    return rows
+
+
+def oracle_parse_power(text):
+    """Rows of (timestamp, power_w), or OracleParseError."""
+    rows, prev = [], None
+    for line_no, (ts, power) in _oracle_lines(text, POWER_FIELDS):
+        if power <= 0.0:
+            raise OracleParseError(line_no, f"power_w must be > 0, got {power}")
+        _oracle_order(ts, prev, line_no)
+        prev = ts
+        rows.append((ts, power))
+    return rows

@@ -13,6 +13,7 @@ from wattmodel import (
     MetricSample,
     ModelFormatError,
     SimConfig,
+    TraceError,
     align,
     default_tolerance,
     evaluate,
@@ -145,6 +146,20 @@ def test_evaluate_rejects_empty_trace():
     trace = make_trace(cpu=[], mem=[], disk=[], net=[], power=[])
     with pytest.raises(ValueError):
         evaluate(exact_model(1.0), trace)
+
+
+def test_evaluate_zero_power_is_trace_error():
+    # a zero meter reading would divide by zero in the percent error
+    with pytest.raises(TraceError, match="power_w must be > 0"):
+        evaluate(exact_model(100.0), make_trace([0.5], [0], [0], [0], [0.0]))
+
+
+def test_predict_on_a_trace_matches_each_record():
+    trace = simulated_trace(noise=1.0, seed=4, n=50)
+    model = train(trace)
+    watts = predict(model, trace)
+    assert watts.shape == (50,)
+    assert watts.tolist() == [predict(model, row) for row in trace]
 
 
 def test_training_minimizes_squared_residuals():

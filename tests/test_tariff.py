@@ -10,8 +10,10 @@ from wattmodel import (
     Tariff,
     TariffError,
     breakdown,
-    breakdown_as_json,
     project_cost,
+)
+from wattmodel.tariff import (
+    breakdown_as_json,
     projection_as_dict,
     render_breakdown_text,
     render_projection_text,

@@ -2,13 +2,19 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from wattmodel import (
+    AlignedRow,
+    AlignedTrace,
     AlignmentError,
+    AlignmentMeta,
     MetricSample,
+    MetricTrace,
     ParseError,
     PowerSample,
+    PowerTrace,
     TraceError,
     align,
     default_tolerance,
@@ -27,11 +33,11 @@ POWER_CSV = "timestamp,power_w\n"
 
 def test_parse_metrics_single_row():
     samples = parse_metrics(METRICS_CSV + "0.0,0.5,100,20,3\n")
-    assert samples == [MetricSample(0.0, 0.5, 100.0, 20.0, 3.0)]
+    assert list(samples) == [MetricSample(0.0, 0.5, 100.0, 20.0, 3.0)]
 
 
 def test_parse_metrics_empty_body_is_valid():
-    assert parse_metrics(METRICS_CSV) == []
+    assert list(parse_metrics(METRICS_CSV)) == []
 
 
 def test_parse_power_rows_in_order():
@@ -97,13 +103,64 @@ def test_parse_accepts_crlf_and_blank_lines():
 
 def test_sample_validation_mirrors_parser():
     with pytest.raises(TraceError):
-        MetricSample(0.0, 1.2, 0.0, 0.0, 0.0)
+        MetricTrace([MetricSample(0.0, 1.2, 0.0, 0.0, 0.0)])
     with pytest.raises(TraceError):
-        MetricSample(0.0, 0.5, 0.0, -3.0, 0.0)
+        MetricTrace([MetricSample(0.0, 0.5, 0.0, -3.0, 0.0)])
     with pytest.raises(TraceError):
-        PowerSample(0.0, 0.0)
+        PowerTrace([PowerSample(0.0, 0.0)])
     with pytest.raises(TraceError):
-        PowerSample(float("nan"), 10.0)
+        PowerTrace([PowerSample(float("nan"), 10.0)])
+
+
+# ------------------------------------------------------------ containers
+
+
+def test_trace_columns_records_and_length():
+    trace = MetricTrace([MetricSample(0.0, 0.5, 1.0, 2.0, 3.0), (1.0, 0.25, 4, 5, 6)])
+    assert len(trace) == 2
+    assert trace.cpu.dtype == np.float64
+    assert trace.cpu.tolist() == [0.5, 0.25]
+    assert trace.net.tolist() == [3.0, 6.0]
+    assert trace[1] == MetricSample(1.0, 0.25, 4.0, 5.0, 6.0)
+    assert trace[-1] == trace[1]
+    assert list(trace) == [trace[0], trace[1]]
+    assert MetricTrace(np.asarray(trace)) == trace
+    assert MetricTrace() == MetricTrace([])
+
+
+def test_trace_columns_are_read_only():
+    trace = parse_power(POWER_CSV + "0,100\n1,200\n")
+    with pytest.raises(ValueError):
+        trace.power_w[0] = 1.0
+    with pytest.raises(ValueError):
+        np.asarray(trace)[0, 0] = 1.0
+
+
+def test_trace_constructor_names_the_bad_row():
+    with pytest.raises(TraceError, match="row 2: duplicate timestamp 1.0"):
+        PowerTrace([(0.0, 1.0), (1.0, 1.0), (1.0, 2.0)])
+    with pytest.raises(TraceError, match="fields"):
+        PowerTrace([(0.0, 1.0, 2.0)])
+
+
+def test_aligned_trace_checks_every_rule():
+    meta = AlignmentMeta(n_metrics=2, n_power=2, n_dropped=0)
+    good = AlignedRow(0.0, 0.5, 1.0, 1.0, 1.0, 100.0)
+    assert AlignedTrace([good], meta).rows == (good,)
+    with pytest.raises(TraceError, match="decreases"):
+        AlignedTrace([good._replace(timestamp=1.0), good], meta)
+    with pytest.raises(TraceError, match="power_w must be > 0"):
+        AlignedTrace([good._replace(power_w=0.0)], meta)
+    with pytest.raises(TraceError, match="cpu"):
+        AlignedTrace([good._replace(cpu=1.5)], meta)
+
+
+def test_parse_reports_the_first_fault_before_a_later_unreadable_line():
+    text = METRICS_CSV + "0,0.5,1,1,1\n1,1.5,1,1,1\n2,0.5,x,1,1\n"
+    with pytest.raises(ParseError, match=r"^line 3: cpu 1.5 outside \[0, 1\]$"):
+        parse_metrics(text)
+    with pytest.raises(ParseError, match="^line 4: non-numeric value 'x' for mem$"):
+        parse_metrics(text.replace("1,1.5", "1,0.5"))
 
 
 # ------------------------------------------------------------ round-trip
@@ -117,14 +174,14 @@ def test_csv_round_trip_preserves_values():
         for i in range(50)
     ]
     power = [PowerSample(i * 0.1, 100.0 + rng.random() * 50) for i in range(50)]
-    assert parse_metrics(format_metrics(metrics)) == metrics
-    assert parse_power(format_power(power)) == power
+    assert list(parse_metrics(format_metrics(metrics))) == metrics
+    assert list(parse_power(format_power(power))) == power
 
 
 def test_round_trip_awkward_floats():
     # values with no short decimal form still round-trip exactly via repr
     metrics = [MetricSample(0.1 + 0.2, 1.0 / 3.0, 2.0**-40, 0.0, 1e300 * 0.0)]
-    assert parse_metrics(format_metrics(metrics)) == metrics
+    assert list(parse_metrics(format_metrics(metrics))) == metrics
 
 
 # ------------------------------------------------------------- alignment
@@ -219,7 +276,7 @@ def test_align_validates_inputs():
     with pytest.raises(TraceError):
         align(grid_metrics([0.0]), grid_power([0.0]), float("nan"))
     unsorted = [MetricSample(1.0, 0, 0, 0, 0), MetricSample(0.0, 0, 0, 0, 0)]
-    with pytest.raises(TraceError, match="strictly increasing"):
+    with pytest.raises(TraceError, match="decreases"):
         align(unsorted, grid_power([0.0]), 1.0)
 
 
