@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -117,6 +118,11 @@ def _coefficient_table(model: PowerModel) -> str:
     return _render_table(("Coefficient", "Symbol", "Value", "Std. error", "t", "p"), rows)
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """One stderr line per warning, in place of Python's file:line and source echo."""
+    print(f"wattmodel: warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def _resolve_tolerance(args, metrics) -> float:
     if args.tolerance_s is not None:
         if not math.isfinite(args.tolerance_s) or args.tolerance_s <= 0:
@@ -192,7 +198,7 @@ def cmd_energy(args) -> int:
         model = load_model(_read_text(args.model))
         metrics = parse_metrics(_read_text(args.metrics))
         report = integrate_predicted(model, metrics)
-    print(json.dumps(report.as_dict(), indent=2))
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK
 
 
@@ -220,11 +226,7 @@ def cmd_cost(args) -> int:
         raise UsageError(f"--months must be >= 1, got {args.months}")
     categories = [_parse_category(raw) for raw in args.category]
 
-    tariff = Tariff(
-        rate_per_kwh=args.rate,
-        escalation_per_year=args.escalation,
-        currency_label=args.currency,
-    )
+    tariff = Tariff(rate_per_kwh=args.rate, escalation_per_year=args.escalation)
     projection = project_cost(args.kwh_per_day, tariff, args.months)
     report = breakdown(projection.total_cost, categories)
 
@@ -367,7 +369,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (UsageError, SimConfigError) as exc:
         print(f"wattmodel: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

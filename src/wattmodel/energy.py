@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .powermodel import PowerModel, predict
-from .trace import MetricTrace
+from .trace import MetricTrace, _median
 
 WATT_SECONDS_PER_KWH = 3_600_000.0
 SECONDS_PER_DAY = 86_400.0
@@ -34,14 +34,6 @@ class EnergyReport:
     mean_power_w: float
     kwh_per_day: float
 
-    def as_dict(self) -> dict:
-        return {
-            "kwh": self.kwh,
-            "duration_s": self.duration_s,
-            "mean_power_w": self.mean_power_w,
-            "kwh_per_day": self.kwh_per_day,
-        }
-
 
 def _integrate_series(timestamps: np.ndarray, watts: np.ndarray) -> EnergyReport:
     if len(timestamps) < 2:
@@ -53,7 +45,7 @@ def _integrate_series(timestamps: np.ndarray, watts: np.ndarray) -> EnergyReport
             f"timestamps must be strictly increasing "
             f"({timestamps[i + 1]} after {timestamps[i]})"
         )
-    median_dt = float(np.median(dt))
+    median_dt = _median(dt)
     if (dt > 10.0 * median_dt).any():
         n_gaps = int((dt > 10.0 * median_dt).sum())
         warnings.warn(

@@ -5,31 +5,29 @@ predicted_watts = alpha + beta_cpu*cpu + beta_mem*mem + beta_disk*disk
 
 alpha is the baseline (idle) draw of the hardware; the betas carry whatever
 units the trace was collected in. One model per hardware configuration,
-keyed by a free-text hardware_id. Models serialize to a flat JSON document
-and round-trip losslessly.
+keyed by a free-text hardware_id. A model serializes to a JSON document
+whose keys are the fields of PowerModel and FitDiagnostics, and it
+round-trips losslessly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .regression import COLUMN_NAMES, DesignMatrix, FitDiagnostics, fit_ols
 from .trace import AlignedTrace
 
-_COEFF_FIELDS = ("alpha", "beta_cpu", "beta_mem", "beta_disk", "beta_net")
-_DIAG_VECTOR_FIELDS = ("std_errors", "t_stats", "p_values")
-
 
 class ModelFormatError(ValueError):
     """Model document is missing fields, mistyped, or violates invariants."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PowerModel:
     alpha: float
     beta_cpu: float
@@ -41,7 +39,7 @@ class PowerModel:
     created_at: float
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class EvaluationReport:
     """Prediction quality on a trace: MAPE and its complement, accuracy."""
 
@@ -57,16 +55,8 @@ def train(trace: AlignedTrace, hardware_id: str = "", created_at: float | None =
         cpu=trace.cpu, mem=trace.mem, disk=trace.disk, net=trace.net, power=trace.power_w
     )
     coef, diagnostics = fit_ols(design)
-    return PowerModel(
-        alpha=float(coef[0]),
-        beta_cpu=float(coef[1]),
-        beta_mem=float(coef[2]),
-        beta_disk=float(coef[3]),
-        beta_net=float(coef[4]),
-        diagnostics=diagnostics,
-        hardware_id=hardware_id,
-        created_at=time.time() if created_at is None else created_at,
-    )
+    created_at = time.time() if created_at is None else created_at
+    return PowerModel(*coef.tolist(), diagnostics, hardware_id, created_at)
 
 
 def predict(model: PowerModel, sample):
@@ -101,104 +91,83 @@ def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
 
 
 def save_model(model: PowerModel) -> str:
-    """Serialize to the flat JSON document; numbers keep full precision."""
-    doc = {field: getattr(model, field) for field in _COEFF_FIELDS}
-    d = model.diagnostics
-    doc["diagnostics"] = {
-        "r_squared": d.r_squared,
-        "residual_sigma": d.residual_sigma,
-        "std_errors": list(d.std_errors),
-        "t_stats": list(d.t_stats),
-        "p_values": list(d.p_values),
-        "df": d.df,
-        "n_samples": d.n_samples,
-    }
-    doc["hardware_id"] = model.hardware_id
-    doc["created_at"] = model.created_at
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize to the JSON document, one key per dataclass field; full precision."""
+    return json.dumps(dataclasses.asdict(model), indent=2) + "\n"
 
 
-def _require(doc: dict, field: str, context: str = "model"):
-    if field not in doc:
-        raise ModelFormatError(f"{context} document missing field {field!r}")
-    return doc[field]
-
-
-def _as_number(value, field: str) -> float:
+def _number(value, label: str, allow_inf: bool = False) -> float:
+    """A JSON number (not a bool) as a float: never NaN, finite unless allow_inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelFormatError(f"field {field!r} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ModelFormatError(f"field {field!r} must be finite, got {value!r}")
-    return float(value)
+        raise ModelFormatError(f"{label} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ModelFormatError(f"{label} is an integer beyond the float range") from None
+    if math.isnan(number):
+        raise ModelFormatError(f"{label} must not be NaN")
+    if math.isinf(number) and not allow_inf:
+        raise ModelFormatError(f"{label} must be finite, got {number!r}")
+    return number
 
 
-def _as_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelFormatError(f"field {field!r} must be an integer, got {value!r}")
-    return value
+def _instance(kind: type, noun: str):
+    """A reader that accepts values of kind (never a bool) unchanged."""
+    def read(value, name: str):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ModelFormatError(f"field {name!r} must be {noun}, got {value!r}")
+        return value
+    return read
+
+
+def _vector(value, name: str) -> tuple[float, ...]:
+    """One number per design column; ±inf allowed (a perfect fit's t statistics)."""
+    if not isinstance(value, list) or len(value) != len(COLUMN_NAMES):
+        raise ModelFormatError(f"field {name!r} must be a list of {len(COLUMN_NAMES)} numbers")
+    return tuple(_number(item, f"{name}[{i}]", allow_inf=True) for i, item in enumerate(value))
+
+
+def _read(cls, doc, name: str):
+    """The dataclass cls from a JSON object: each field by its type, other keys ignored."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{name} document must be a JSON object")
+    values = {}
+    for field in dataclasses.fields(cls):
+        if field.name not in doc:
+            raise ModelFormatError(f"{name} document missing field {field.name!r}")
+        values[field.name] = _READERS[field.type](doc[field.name], field.name)
+    return cls(**values)
+
+
+# Keyed by annotation text: with postponed annotations (the __future__
+# import here and in regression.py) a dataclass field's type is that string.
+_READERS = {
+    "float": lambda value, name: _number(value, f"field {name!r}"),
+    "int": _instance(int, "an integer"),
+    "str": _instance(str, "a string"),
+    "tuple[float, ...]": _vector,
+    "FitDiagnostics": lambda value, name: _read(FitDiagnostics, value, name),
+}
 
 
 def load_model(text: str) -> PowerModel:
-    """Parse and validate a model JSON document."""
+    """Parse a model JSON document: each field by its type, then the rules across fields."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ModelFormatError(f"model document is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model document must be a JSON object")
-
-    coeffs = {f: _as_number(_require(doc, f), f) for f in _COEFF_FIELDS}
-
-    raw_diag = _require(doc, "diagnostics")
-    if not isinstance(raw_diag, dict):
-        raise ModelFormatError("field 'diagnostics' must be a JSON object")
-    vectors = {}
-    for field in _DIAG_VECTOR_FIELDS:
-        vec = _require(raw_diag, field, "diagnostics")
-        if not isinstance(vec, list) or len(vec) != len(COLUMN_NAMES):
-            raise ModelFormatError(
-                f"field {field!r} must be a list of {len(COLUMN_NAMES)} numbers"
-            )
-        values = []
-        for i, item in enumerate(vec):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ModelFormatError(f"{field}[{i}] must be a number, got {item!r}")
-            if math.isnan(item):
-                raise ModelFormatError(f"{field}[{i}] must not be NaN")
-            values.append(float(item))
-        vectors[field] = tuple(values)
-    for i, p in enumerate(vectors["p_values"]):
-        if not 0.0 <= p <= 1.0:
-            raise ModelFormatError(f"p_values[{i}] = {p} outside [0, 1]")
-
-    r_squared = _as_number(_require(raw_diag, "r_squared", "diagnostics"), "r_squared")
-    if not 0.0 <= r_squared <= 1.0:
-        raise ModelFormatError(f"r_squared = {r_squared} outside [0, 1]")
-    residual_sigma = _as_number(
-        _require(raw_diag, "residual_sigma", "diagnostics"), "residual_sigma"
-    )
-    df = _as_int(_require(raw_diag, "df", "diagnostics"), "df")
-    if df < 1:
-        raise ModelFormatError(f"df must be >= 1, got {df}")
-    n_samples = _as_int(_require(raw_diag, "n_samples", "diagnostics"), "n_samples")
-
-    hardware_id = _require(doc, "hardware_id")
-    if not isinstance(hardware_id, str):
-        raise ModelFormatError("field 'hardware_id' must be a string")
-    created_at = _as_number(_require(doc, "created_at"), "created_at")
-
-    diagnostics = FitDiagnostics(
-        r_squared=r_squared,
-        residual_sigma=residual_sigma,
-        std_errors=vectors["std_errors"],
-        t_stats=vectors["t_stats"],
-        p_values=vectors["p_values"],
-        df=df,
-        n_samples=n_samples,
-    )
-    return PowerModel(
-        diagnostics=diagnostics,
-        hardware_id=hardware_id,
-        created_at=created_at,
-        **coeffs,
-    )
+    model = _read(PowerModel, doc, "model")
+    d, n_params = model.diagnostics, len(COLUMN_NAMES)
+    rules = [
+        *((0.0 <= p <= 1.0, f"p_values[{i}] = {p} outside [0, 1]")
+          for i, p in enumerate(d.p_values)),
+        *((se >= 0.0, f"std_errors[{i}] = {se} is negative")
+          for i, se in enumerate(d.std_errors)),
+        (0.0 <= d.r_squared <= 1.0, f"r_squared = {d.r_squared} outside [0, 1]"),
+        (d.residual_sigma >= 0.0, f"residual_sigma = {d.residual_sigma} is negative"),
+        (d.df >= 1, f"df must be >= 1, got {d.df}"),
+        (d.df == d.n_samples - n_params, f"df = {d.df} must equal n_samples - {n_params}"),
+    ]
+    for holds, message in rules:
+        if not holds:
+            raise ModelFormatError(message)
+    return model

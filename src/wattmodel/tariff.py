@@ -26,7 +26,6 @@ class TariffError(ValueError):
 class Tariff:
     rate_per_kwh: float
     escalation_per_year: float = 0.0
-    currency_label: str = "$"
 
     def __post_init__(self):
         if not math.isfinite(self.rate_per_kwh) or self.rate_per_kwh <= 0.0:
@@ -75,14 +74,24 @@ def project_cost(kwh_per_day: float, tariff: Tariff, horizon_months: int) -> Cos
     year = 0
     while days_left > 0.0:
         days = min(DAYS_PER_YEAR, days_left)
-        rate = tariff.rate_per_kwh * (1.0 + tariff.escalation_per_year) ** year
+        try:
+            rate = tariff.rate_per_kwh * (1.0 + tariff.escalation_per_year) ** year
+        except OverflowError:
+            rate = math.inf
         kwh = kwh_per_day * days
-        yearly.append(YearCost(year_index=year, kwh=kwh, rate_used=rate, cost=kwh * rate))
+        cost = kwh * rate
+        if not math.isfinite(cost):
+            raise TariffError(f"cost overflows in year {year}: rate {rate:.6g} on {kwh:.6g} kWh")
+        yearly.append(YearCost(year_index=year, kwh=kwh, rate_used=rate, cost=cost))
         days_left -= days
         year += 1
+    try:
+        total_cost = math.fsum(y.cost for y in yearly)
+    except OverflowError:
+        raise TariffError("total cost overflows the float range") from None
     return CostProjection(
         yearly=tuple(yearly),
-        total_cost=math.fsum(y.cost for y in yearly),
+        total_cost=total_cost,
         horizon_months=horizon_months,
     )
 
@@ -138,25 +147,14 @@ def render_breakdown_text(report: BreakdownReport, currency: str = "$") -> str:
 def projection_as_dict(projection: CostProjection) -> dict:
     return {
         "horizon_months": projection.horizon_months,
-        "yearly": [
-            {
-                "year_index": y.year_index,
-                "kwh": y.kwh,
-                "rate_used": y.rate_used,
-                "cost": y.cost,
-            }
-            for y in projection.yearly
-        ],
+        "yearly": [y._asdict() for y in projection.yearly],
         "total_cost": projection.total_cost,
     }
 
 
 def breakdown_as_json(report: BreakdownReport) -> list[dict]:
     """The breakdown's machine form: a list of {label, cost, percent}."""
-    return [
-        {"label": c.label, "cost": c.cost, "percent": c.percent}
-        for c in report.categories
-    ]
+    return [c._asdict() for c in report.categories]
 
 
 def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

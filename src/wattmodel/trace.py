@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,10 +251,8 @@ def _data_line(lines: list[str], row: int) -> tuple[int, list[str]]:
     return line_no, line.strip().split(",")
 
 
-def _parse(text: Union[str, TextIO], kind: type[_Columns]):
-    """Parse a CSV stream into a trace; the first faulty line raises ParseError."""
-    if hasattr(text, "read"):
-        text = text.read()
+def _parse(text: str, kind: type[_Columns]):
+    """Parse CSV text into a trace; the first faulty line raises ParseError."""
     fields = kind.record._fields
     header = ",".join(fields)
     lines = text.splitlines()
@@ -285,13 +282,13 @@ def _parse(text: Union[str, TextIO], kind: type[_Columns]):
     return trace
 
 
-def parse_metrics(text: Union[str, TextIO]) -> MetricTrace:
-    """Parse a metrics CSV stream, verifying order and ranges."""
+def parse_metrics(text: str) -> MetricTrace:
+    """Parse metrics CSV text, verifying order and ranges."""
     return _parse(text, MetricTrace)
 
 
-def parse_power(text: Union[str, TextIO]) -> PowerTrace:
-    """Parse a power CSV stream, verifying order and positivity."""
+def parse_power(text: str) -> PowerTrace:
+    """Parse power CSV text, verifying order and positivity."""
     return _parse(text, PowerTrace)
 
 
@@ -320,7 +317,14 @@ def default_tolerance(metrics) -> float:
     metrics = MetricTrace.of(metrics)
     if len(metrics) < 2:
         raise TraceError("need at least 2 metric samples to derive a tolerance")
-    return statistics.median(np.diff(metrics.timestamp).tolist()) / 2.0
+    return _median(np.diff(metrics.timestamp)) / 2.0
+
+
+def _median(values: np.ndarray) -> float:
+    """Median of a non-empty 1-D array; np.median imports numpy.ma on first use."""
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
 def align(metrics, power, tolerance_s: float) -> AlignedTrace:

@@ -1,11 +1,15 @@
 """End-to-end command-line tests: output streams, files, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import wattmodel
 from conftest import REF_TRUTH, exact_model
 from wattmodel import (
     SimConfig,
@@ -164,6 +168,26 @@ def test_energy_metered_and_predicted(tmp_path, capsys):
     assert predicted["kwh"] == pytest.approx(metered["kwh"], rel=1e-6)
 
 
+def test_warnings_print_as_tool_diagnostics(tmp_path, capsys):
+    power = tmp_path / "gappy.csv"
+    stamps = [i * 10.0 for i in range(30)] + [5000.0 + i * 10.0 for i in range(30)]
+    power.write_text(format_power([(t, 200.0) for t in stamps]), encoding="utf-8")
+    shown_before = warnings.showwarning
+    for _ in range(2):  # shown on every run, not once per process
+        assert main(["energy", "--power", str(power)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("wattmodel: warning: GapWarning: 1 sampling gap(s) exceed")
+        assert len(err.splitlines()) == 1
+    assert main(["simulate", "--alpha", "0.5", "--beta-cpu", "0", "--noise-w", "5",
+                 "--duration-s", "3600", "--out-metrics", str(tmp_path / "m.csv"),
+                 "--out-power", str(tmp_path / "p.csv")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("wattmodel: warning: FloorWarning: ")
+    assert "samples written" in err.splitlines()[1]
+    # the caller's own warning display is back in place
+    assert warnings.showwarning is shown_before
+
+
 def test_energy_flag_combinations_are_usage_errors(tmp_path):
     model_path, metrics_path, power_path = fit_model_file(tmp_path)
     assert main(["energy"]) == 1
@@ -217,6 +241,13 @@ def test_cost_flag_validation(capsys):
     assert main(["cost", "--kwh-per-day", "15.73", "--rate", "0.14",
                  "--months", "12", "--category", "X=-5"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cost_overflow_is_data_error(capsys):
+    assert main(["cost", "--kwh-per-day", "10", "--rate", "0.1",
+                 "--escalation", "1e200", "--months", "48"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("wattmodel: data error: cost overflows in year 2")
 
 
 # ---------------------------------------------------------------- simulate
@@ -359,6 +390,17 @@ def test_module_entrypoint_subprocess():
                          capture_output=True, text=True)
     assert bad.returncode == 1
     assert "usage" in bad.stderr
+
+
+def test_metered_energy_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma takes 10-20 ms to import, a large share of a short command
+    _, power_path = write_traces(tmp_path)
+    code = ("import sys; from wattmodel.cli import main; "
+            f"code = main(['energy', '--power', {str(power_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(wattmodel.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
 
 def test_results_go_to_stdout_only(tmp_path, capsys):

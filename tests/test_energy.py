@@ -1,5 +1,6 @@
 """Trapezoidal energy integration tests."""
 
+import dataclasses
 import random
 import warnings
 
@@ -147,6 +148,6 @@ def test_predicted_errors_mirror_integrate():
 
 def test_as_dict_shape():
     report = integrate(constant_power(100.0, duration_s=120.0, step_s=60.0))
-    d = report.as_dict()
+    d = dataclasses.asdict(report)
     assert set(d) == {"kwh", "duration_s", "mean_power_w", "kwh_per_day"}
     assert d["kwh"] == report.kwh

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from wattmodel import load_model, save_model
 from wattmodel.cli import main as cli_main
 
 GOLDEN_MODEL = Path(__file__).parent / "golden" / "model.json"
@@ -74,7 +75,14 @@ def test_fit_matches_golden_model(tmp_path, capsys):
     fitted, golden = json.loads(out.read_text()), json.loads(GOLDEN_MODEL.read_text())
     assert set(fitted) == set(golden)
     assert set(fitted["diagnostics"]) == set(golden["diagnostics"])
+    assert list(fitted) == list(golden)
+    assert list(fitted["diagnostics"]) == list(golden["diagnostics"])
     for field in ("alpha", "beta_cpu", "beta_mem", "beta_disk", "beta_net"):
         assert fitted[field] == pytest.approx(golden[field], rel=1e-12, abs=0.0)
     for field, value in golden["diagnostics"].items():
         assert fitted["diagnostics"][field] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_golden_model_round_trips_byte_for_byte():
+    text = GOLDEN_MODEL.read_text(encoding="utf-8")
+    assert save_model(load_model(text)) == text

@@ -3,15 +3,18 @@
 import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
 
 from conftest import REF_TRUTH, exact_model, make_trace
 from wattmodel import (
+    FitDiagnostics,
     InsufficientDataError,
     MetricSample,
     ModelFormatError,
+    PowerModel,
     SimConfig,
     TraceError,
     align,
@@ -253,6 +256,21 @@ def test_load_rejects_invariant_violations():
     with pytest.raises(ModelFormatError, match="df"):
         load_model(json.dumps(doc))
 
+    doc = json.loads(save_model(model))
+    doc["diagnostics"]["std_errors"][3] = -1e-9
+    with pytest.raises(ModelFormatError, match=r"std_errors\[3\]"):
+        load_model(json.dumps(doc))
+
+    doc = json.loads(save_model(model))
+    doc["diagnostics"]["residual_sigma"] = -0.5
+    with pytest.raises(ModelFormatError, match="residual_sigma"):
+        load_model(json.dumps(doc))
+
+    doc = json.loads(save_model(model))
+    doc["diagnostics"]["n_samples"] += 1  # df must be n_samples - 5
+    with pytest.raises(ModelFormatError, match="df"):
+        load_model(json.dumps(doc))
+
 
 def test_load_rejects_bad_types():
     model = train(simulated_trace())
@@ -275,6 +293,20 @@ def test_load_rejects_bad_types():
     doc["hardware_id"] = 7
     with pytest.raises(ModelFormatError, match="hardware_id"):
         load_model(json.dumps(doc))
+
+    # integers past the float range, and past int() parsing, are data errors
+    doc = json.loads(save_model(model))
+    doc["alpha"] = 10**400
+    with pytest.raises(ModelFormatError, match="alpha"):
+        load_model(json.dumps(doc))
+    doc["alpha"] = 1.0
+    doc["diagnostics"]["t_stats"][0] = -(10**400)
+    with pytest.raises(ModelFormatError, match=r"t_stats\[0\]"):
+        load_model(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="JSON"):
+        load_model('{"alpha": ' + "9" * 5000 + "}")
+    with pytest.raises(ModelFormatError, match="JSON"):
+        load_model("[" * 100_000 + "]" * 100_000)
 
 
 def test_load_rejects_nan_and_malformed_json():
@@ -301,3 +333,41 @@ def test_load_accepts_infinite_t_stats():
     doc["diagnostics"]["t_stats"][0] = math.inf
     loaded = load_model(json.dumps(doc))
     assert loaded.diagnostics.t_stats[0] == math.inf
+
+
+def test_load_ignores_unknown_fields():
+    model = exact_model(5.0)
+    doc = json.loads(save_model(model))
+    doc["provenance"] = {"tool": "elsewhere"}
+    doc["diagnostics"]["durbin_watson"] = 2.0
+    assert load_model(json.dumps(doc)) == model
+
+
+# per annotated type, a JSON value of another type; True and None are wrong for all
+_WRONG_VALUE = {float: "7", int: 1.5, str: 7, tuple[float, ...]: [1.0] * 4, FitDiagnostics: []}
+
+
+def _field_cases():
+    for cls, parents in ((PowerModel, ()), (FitDiagnostics, ("diagnostics",))):
+        types = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            path = (*parents, field.name)
+            yield pytest.param(path, types[field.name], id=".".join(path))
+
+
+@pytest.mark.parametrize("path, kind", _field_cases())
+def test_every_field_is_required_and_typed(path, kind):
+    """Removing any field, or giving it a value of the wrong type, names it."""
+    *parents, name = path
+    doc = json.loads(save_model(exact_model(5.0)))
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    del holder[name]
+    with pytest.raises(ModelFormatError, match=f"missing field '{name}'"):
+        load_model(json.dumps(doc))
+    for wrong in (True, None, _WRONG_VALUE[kind]):
+        holder[name] = wrong
+        # the type check rejects it, not a rule across fields
+        with pytest.raises(ModelFormatError, match=rf"\b{name}\b.* must be an? "):
+            load_model(json.dumps(doc))

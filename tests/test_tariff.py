@@ -114,6 +114,15 @@ def test_projection_validation():
         Tariff(math.inf)
 
 
+def test_projection_overflow_is_a_tariff_error():
+    # the year-2 rate (1 + 1e200)**2 overflows a float
+    with pytest.raises(TariffError, match="year 2"):
+        project_cost(10.0, Tariff(0.1, 1e200), 48)
+    # each year's cost is finite, their sum is not
+    with pytest.raises(TariffError, match="total cost"):
+        project_cost(1e305, Tariff(2.0), 48)
+
+
 # --------------------------------------------------------------- breakdown
 
 

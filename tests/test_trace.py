@@ -1,6 +1,7 @@
 """CSV parsing, validation, and time-alignment tests."""
 
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from wattmodel import (
     parse_metrics,
     parse_power,
 )
+from wattmodel.trace import _median
 
 METRICS_CSV = "timestamp,cpu,mem,disk,net\n"
 POWER_CSV = "timestamp,power_w\n"
@@ -286,3 +288,19 @@ def test_default_tolerance_is_half_median_interval():
     assert default_tolerance(metrics) == 5.0
     with pytest.raises(TraceError):
         default_tolerance(grid_metrics([0.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 101, 1000])
+def test_median_matches_statistics_median(n):
+    rng = random.Random(n)
+    # values spanning many magnitudes, odd and even counts
+    scales = [0.1, 1 / 3, 2.5e-7, 1e16, 7.0]
+    values = [rng.choice(scales) * rng.uniform(0.5, 2.0) for _ in range(n)]
+    assert _median(np.array(values)) == statistics.median(values)
+    assert _median(np.array(values)) == float(np.median(values))
+
+
+def test_median_of_even_length_is_the_halved_sum():
+    values = [0.7, 0.1, 9.0, -3.0]
+    # (0.1 + 0.7) / 2 and 0.1 + (0.7 - 0.1) / 2 differ in the last bit
+    assert _median(np.array(values)) == (0.1 + 0.7) / 2 == statistics.median(values)
