@@ -50,6 +50,7 @@ from .tariff import (
     render_projection_text,
 )
 from .trace import (
+    AlignedTrace,
     TraceError,
     align,
     default_tolerance,
@@ -123,32 +124,33 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"wattmodel: warning: {category.__name__}: {message}", file=sys.stderr)
 
 
-def _resolve_tolerance(args, metrics) -> float:
-    if args.tolerance_s is not None:
-        if not math.isfinite(args.tolerance_s) or args.tolerance_s <= 0:
-            raise UsageError(f"--tolerance-s must be > 0, got {args.tolerance_s}")
-        return args.tolerance_s
-    tol = default_tolerance(metrics)
-    print(
-        f"tolerance_s = {tol:.6g} (half the median metric interval)",
-        file=sys.stderr,
-    )
-    return tol
+def _aligned(args) -> AlignedTrace:
+    """--metrics paired with --power within --tolerance-s, with diagnostics on stderr.
+
+    Without --tolerance-s the default is derived from the metrics and
+    echoed; metric samples left without a power sample are counted.
+    """
+    metrics = parse_metrics(_read_text(args.metrics))
+    power = parse_power(_read_text(args.power))
+    tolerance = args.tolerance_s
+    if tolerance is None:
+        tolerance = default_tolerance(metrics)
+        print(f"tolerance_s = {tolerance:.6g} (half the median metric interval)", file=sys.stderr)
+    elif not math.isfinite(tolerance) or tolerance <= 0:
+        raise UsageError(f"--tolerance-s must be > 0, got {tolerance}")
+    aligned = align(metrics, power, tolerance)
+    meta = aligned.source_meta
+    if meta.n_dropped:
+        print(
+            f"dropped {meta.n_dropped} of {meta.n_metrics} metric samples "
+            f"(no power sample within {tolerance:.6g} s)",
+            file=sys.stderr,
+        )
+    return aligned
 
 
 def cmd_fit(args) -> int:
-    metrics = parse_metrics(_read_text(args.metrics))
-    power = parse_power(_read_text(args.power))
-    tolerance = _resolve_tolerance(args, metrics)
-    aligned = align(metrics, power, tolerance)
-    if aligned.source_meta.n_dropped:
-        print(
-            f"dropped {aligned.source_meta.n_dropped} of "
-            f"{aligned.source_meta.n_metrics} metric samples (no power sample "
-            f"within {tolerance:.6g} s)",
-            file=sys.stderr,
-        )
-    model = train(aligned, hardware_id=args.hardware_id)
+    model = train(_aligned(args), hardware_id=args.hardware_id)
     document = save_model(model)
     Path(args.out).write_text(document, encoding="utf-8")
     print(f"model written to {args.out}", file=sys.stderr)
@@ -177,11 +179,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(_read_text(args.model))
-    metrics = parse_metrics(_read_text(args.metrics))
-    power = parse_power(_read_text(args.power))
-    tolerance = _resolve_tolerance(args, metrics)
-    aligned = align(metrics, power, tolerance)
-    print(json.dumps(dataclasses.asdict(evaluate(model, aligned)), indent=2))
+    print(json.dumps(dataclasses.asdict(evaluate(model, _aligned(args))), indent=2))
     return EXIT_OK
 
 

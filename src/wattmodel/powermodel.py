@@ -65,15 +65,21 @@ def predict(model: PowerModel, sample):
     A record gives one float; a trace gives a float64 array, one value per
     row. Any model-like object with alpha and beta_* coefficients serves.
     Unclamped: an adversarial model can predict below alpha or below zero,
-    and the value is returned as computed.
+    and the value is returned as computed. A prediction that is not finite
+    raises ModelFormatError naming the first such row.
     """
-    return (
-        model.alpha
-        + model.beta_cpu * sample.cpu
-        + model.beta_mem * sample.mem
-        + model.beta_disk * sample.disk
-        + model.beta_net * sample.net
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        watts = (
+            model.alpha
+            + model.beta_cpu * sample.cpu
+            + model.beta_mem * sample.mem
+            + model.beta_disk * sample.disk
+            + model.beta_net * sample.net
+        )
+    bad = ~np.isfinite(watts)
+    if bad.any():
+        raise ModelFormatError(f"model prediction for row {int(bad.argmax())} is not finite")
+    return watts
 
 
 def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:

@@ -127,6 +127,10 @@ class SimConfig:
                 f"duration_s must be at least 2x interval_s, got "
                 f"{self.duration_s} vs interval {self.interval_s}"
             )
+        if not math.isfinite(self.duration_s / self.interval_s):
+            raise SimConfigError(
+                f"duration_s / interval_s overflows: {self.duration_s} / {self.interval_s}"
+            )
         if not math.isfinite(self.noise_sigma_w) or self.noise_sigma_w < 0.0:
             raise SimConfigError(f"noise_sigma_w must be >= 0, got {self.noise_sigma_w}")
         if self.workload_profile not in PROFILES:

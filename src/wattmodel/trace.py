@@ -52,12 +52,11 @@ class AlignmentError(TraceError):
 
 
 class _RowError(TraceError):
-    """A row breaks a trace rule; keeps the 0-based row, the column and the reason."""
+    """A row breaks a trace rule; keeps the 0-based row and the reason."""
 
-    def __init__(self, row: int, column: int, reason: str):
+    def __init__(self, row: int, reason: str):
         super().__init__(f"row {row}: {reason}")
         self.row = row
-        self.column = column
         self.reason = reason
 
 
@@ -108,7 +107,7 @@ _RULES = (
 
 
 def _first_invalid_row(data: np.ndarray, fields: tuple[str, ...]):
-    """(row, column, reason) for the first row that breaks a rule, else None.
+    """(row, reason) for the first row that breaks a rule, else None.
 
     Within a row, a non-finite field comes first, then the value rules,
     then the ordering against the previous row.
@@ -130,7 +129,7 @@ def _first_invalid_row(data: np.ndarray, fields: tuple[str, ...]):
     row = int(invalid.argmax())
     column, reason = next((j, reason) for j, mask, reason in checks if mask[row])
     previous = data[row - 1, 0].item() if row else None
-    return row, column, reason.format(data[row, column].item(), previous)
+    return row, reason.format(data[row, column].item(), previous)
 
 
 class _Columns:
@@ -217,16 +216,19 @@ class AlignedTrace(_Columns):
 def _floats(lines: list[str], width: int):
     """Every field of every non-blank line, converted by float().
 
-    Raises ValueError at the first line with the wrong field count or a
-    field float() rejects.
+    A field float() rejects reads as NaN, and a line of the wrong width as a
+    row of NaNs, which the trace constructor rejects as non-finite.
     """
     for line in lines:
         fields = line.split(",")
         if len(fields) == width:
             for raw in fields:
-                yield float(raw)
+                try:
+                    yield float(raw)
+                except ValueError:
+                    yield math.nan
         elif line.strip():
-            raise ValueError(line)
+            yield from itertools.repeat(math.nan, width)
 
 
 def _line_fault(line: str, fields: tuple[str, ...]) -> str | None:
@@ -244,11 +246,10 @@ def _line_fault(line: str, fields: tuple[str, ...]) -> str | None:
     return None
 
 
-def _data_line(lines: list[str], row: int) -> tuple[int, list[str]]:
-    """1-based line number and fields of the row-th non-blank data line."""
+def _data_line(lines: list[str], row: int) -> tuple[int, str]:
+    """1-based line number and text of the row-th non-blank data line."""
     numbered = ((no, line) for no, line in enumerate(lines, start=2) if line.strip())
-    line_no, line = next(itertools.islice(numbered, row, None))
-    return line_no, line.strip().split(",")
+    return next(itertools.islice(numbered, row, None))
 
 
 def _parse(text: str, kind: type[_Columns]):
@@ -260,26 +261,12 @@ def _parse(text: str, kind: type[_Columns]):
         found = lines[0].strip() if lines else "<empty stream>"
         raise ParseError(1, f"expected header {header!r}, found {found!r}")
     body = lines[1:]
-    bad_line = None
+    data = np.fromiter(_floats(body, len(fields)), float).reshape(-1, len(fields))
     try:
-        values = np.fromiter(_floats(body, len(fields)), float)
-    except ValueError:
-        # the first line with a bad field count or value; an earlier line
-        # may still break a rule, and that fault comes first
-        bad_line = next(i for i, line in enumerate(body) if line.strip() and _line_fault(line, fields))
-        values = np.fromiter(_floats(body[:bad_line], len(fields)), float)
-    data = values.reshape(-1, len(fields))
-    try:
-        trace = kind(data)
+        return kind(data)
     except _RowError as exc:
-        line_no, raws = _data_line(body, exc.row)
-        reason = exc.reason
-        if not math.isfinite(data[exc.row, exc.column]):
-            reason = f"non-finite value {raws[exc.column]!r} for {fields[exc.column]}"
-        raise ParseError(line_no, reason) from None
-    if bad_line is not None:
-        raise ParseError(bad_line + 2, _line_fault(body[bad_line], fields))
-    return trace
+        line_no, line = _data_line(body, exc.row)
+        raise ParseError(line_no, _line_fault(line, fields) or exc.reason) from None
 
 
 def parse_metrics(text: str) -> MetricTrace:

@@ -117,6 +117,22 @@ def test_explicit_tolerance_suppresses_echo(tmp_path, capsys):
     assert "half the median" not in capsys.readouterr().err
 
 
+def test_fit_and_evaluate_report_dropped_rows(tmp_path, capsys):
+    model_path, metrics_path, power_path = fit_model_file(tmp_path)
+    lines = power_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    power_path.write_text("".join(lines[:51] + lines[61:]), encoding="utf-8")
+    capsys.readouterr()
+    drop_line = "dropped 10 of 240 metric samples (no power sample within 30 s)\n"
+    assert main(["fit", "--metrics", str(metrics_path), "--power", str(power_path),
+                 "--out", str(model_path)]) == 0
+    assert drop_line in capsys.readouterr().err
+    assert main(["evaluate", "--model", str(model_path),
+                 "--metrics", str(metrics_path), "--power", str(power_path)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["n"] == 230
+    assert err.endswith(drop_line)
+
+
 # ----------------------------------------------------------------- predict
 
 
@@ -150,6 +166,24 @@ def test_predict_empty_metrics_is_data_error(tmp_path, capsys):
                "--metrics", str(metrics_path), "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "no samples" in capsys.readouterr().err
+
+
+def overflowing_model(tmp_path):
+    """A model file whose predictions on write_traces' metrics overflow."""
+    model_path = tmp_path / "huge.json"
+    model_path.write_text(save_model(exact_model(107.5, beta_net=1e300)), encoding="utf-8")
+    return model_path
+
+
+def test_predict_overflow_is_data_error(tmp_path, capsys):
+    metrics_path, _ = write_traces(tmp_path)
+    out_path = tmp_path / "pred.csv"
+    rc = main(["predict", "--model", str(overflowing_model(tmp_path)),
+               "--metrics", str(metrics_path), "--out", str(out_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "wattmodel: data error: model prediction for row 0 is not finite\n"
+    assert not out_path.exists()
 
 
 # ------------------------------------------------------------------ energy
@@ -186,6 +220,21 @@ def test_warnings_print_as_tool_diagnostics(tmp_path, capsys):
     assert "samples written" in err.splitlines()[1]
     # the caller's own warning display is back in place
     assert warnings.showwarning is shown_before
+
+
+def test_energy_overflow_is_data_error(tmp_path, capsys):
+    metrics_path, _ = write_traces(tmp_path)
+    model_path = overflowing_model(tmp_path)
+    assert main(["energy", "--model", str(model_path), "--metrics", str(metrics_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "wattmodel: data error: model prediction for row 0 is not finite\n"
+    huge = tmp_path / "huge_power.csv"
+    huge.write_text(format_power([(0.0, 1.7e308), (60.0, 1.7e308)]), encoding="utf-8")
+    assert main(["energy", "--power", str(huge)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("wattmodel: data error: the energy integral overflows")
 
 
 def test_energy_flag_combinations_are_usage_errors(tmp_path):
@@ -293,6 +342,13 @@ def test_simulate_bad_config_is_usage_error(tmp_path, capsys):
                "--out-power", str(tmp_path / "p")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    # a sample count beyond the float range, not a traceback
+    rc = main(["simulate", "--duration-s", "1e300", "--interval-s", "1e-10",
+               "--out-metrics", str(tmp_path / "m"),
+               "--out-power", str(tmp_path / "p")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "wattmodel: error: duration_s / interval_s overflows")
 
 
 # -------------------------------------------------------------- exit codes
@@ -350,6 +406,16 @@ def test_empty_alignment_exits_2(tmp_path, capsys):
                "--metrics", str(metrics_path), "--power", str(far_power)])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_evaluate_overflow_is_data_error(tmp_path, capsys):
+    metrics_path, power_path = write_traces(tmp_path)
+    rc = main(["evaluate", "--model", str(overflowing_model(tmp_path)),
+               "--metrics", str(metrics_path), "--power", str(power_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no "mape": Infinity, which is not JSON
+    assert err.endswith("wattmodel: data error: model prediction for row 0 is not finite\n")
 
 
 def test_corrupt_model_exits_2(tmp_path, capsys):

@@ -12,6 +12,7 @@ from wattmodel import (
     GapWarning,
     MetricSample,
     PowerSample,
+    TraceError,
     integrate,
     integrate_predicted,
 )
@@ -89,8 +90,15 @@ def test_integrate_errors():
     with pytest.raises(EnergyError, match="at least 2"):
         integrate([])
     backwards = [PowerSample(10.0, 100.0), PowerSample(5.0, 100.0)]
-    with pytest.raises(EnergyError, match="strictly increasing"):
+    with pytest.raises(TraceError, match="decreases"):
         integrate(backwards)
+    # records are checked as PowerTrace checks them
+    with pytest.raises(TraceError, match="non-finite value nan for power_w"):
+        integrate([PowerSample(0.0, float("nan")), PowerSample(60.0, 100.0)])
+    with pytest.raises(TraceError, match="power_w must be > 0, got 0.0"):
+        integrate([PowerSample(0.0, 100.0), PowerSample(60.0, 0.0)])
+    with pytest.raises(EnergyError, match="overflows"):
+        integrate([PowerSample(0.0, 1.7e308), PowerSample(60.0, 1.7e308)])
 
 
 def test_gap_warning_on_sparse_stretch():

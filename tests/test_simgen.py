@@ -227,6 +227,8 @@ def test_config_validation():
         config(interval=0.0)
     with pytest.raises(SimConfigError):
         config(duration=50.0, interval=60.0)  # below two intervals
+    with pytest.raises(SimConfigError, match="overflows"):
+        config(duration=1e300, interval=1e-10)  # the sample count is not finite
     with pytest.raises(SimConfigError):
         config(noise=-1.0)
     with pytest.raises(SimConfigError):

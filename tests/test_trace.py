@@ -163,6 +163,18 @@ def test_parse_reports_the_first_fault_before_a_later_unreadable_line():
         parse_metrics(text)
     with pytest.raises(ParseError, match="^line 4: non-numeric value 'x' for mem$"):
         parse_metrics(text.replace("1,1.5", "1,0.5"))
+    # within a line, a field that cannot be read comes before a range rule
+    with pytest.raises(ParseError, match="^line 3: non-numeric value 'x' for mem$"):
+        parse_metrics(METRICS_CSV + "0,0.5,1,1,1\n1,1.5,x,1,1\n")
+    # a range rule or the time order of an earlier line comes first
+    with pytest.raises(ParseError, match="^line 3: timestamp 3.0 decreases from previous 5.0$"):
+        parse_metrics(METRICS_CSV + "5,0.5,1,1,1\n3,0.5,1,1,1\n4,0.5\n")
+    with pytest.raises(ParseError, match="^line 2: non-finite value ' Infinity ' for cpu$"):
+        parse_metrics(METRICS_CSV + "0, Infinity ,1,1,1\n")
+    with pytest.raises(ParseError, match="^line 3: non-numeric value '' for timestamp$"):
+        parse_metrics(METRICS_CSV + "0,0.5,1,1,1\n,,,,\n")
+    with pytest.raises(ParseError, match="^line 2: expected 2 fields, got 3$"):
+        parse_power(POWER_CSV + ",,\n0,100\n")
 
 
 # ------------------------------------------------------------ round-trip
