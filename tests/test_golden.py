@@ -2,7 +2,8 @@
 
 One seeded `simulate` pair drives `predict`, `evaluate` and both `energy`
 modes against a fixed model document (tests/golden/model.json, the `fit`
-of that pair with `created_at` set to 0). Any change in number formatting,
+of that pair with `created_at` set to 0). The `cost` tables and JSON and
+the `simulate` summary text are pinned too. Any change in number formatting,
 random stream, alignment or arithmetic order changes a hash. `fit` itself
 is compared field by field, since its last bits depend on the QR routine.
 """
@@ -18,6 +19,13 @@ from wattmodel.cli import main as cli_main
 
 GOLDEN_MODEL = Path(__file__).parent / "golden" / "model.json"
 
+# the README's cost example
+COST_ARGS = (
+    "cost", "--kwh-per-day", "15.73", "--rate", "0.14", "--escalation", "0.15",
+    "--category", "Data transfer=58084", "--category", "VM hours=40568",
+    "--category", "Storage=2325", "--category", "Storage I/O=2293", "--months", "36",
+)
+
 GOLDEN_SHA256 = {
     "metrics.csv": "d949f488657bf2d4db2c02a36ea517368dbf23ae54a73762e16e0560567dd4b4",
     "power.csv": "f3db6aa244679f2c4f912ad88edc7a5ed10e025c6648357d84de9975c68d01e1",
@@ -27,6 +35,10 @@ GOLDEN_SHA256 = {
     "energy_model.json": "49ee30df4668a739ce05722a04fe38cbee7c947e49d40500a98be06a17a774e7",
     "diurnal_metrics.csv": "5d9efceba83914dda75cc42ad16cff1fe1a433f74643bb4dd899ba41f12b034c",
     "diurnal_power.csv": "93f9e24a541b8a88d85e9d44cc5a77fcde77294a2ed5f391d6a969cc5906e343",
+    "cost.txt": "fa480169cb8aaa962eb5b9ba719767a784f7417e6f9be3954239452a5079d71c",
+    "cost_eur.txt": "f6d80e4feb21ace77aa88c2339f8b3de7f9e157cef0bd4ab6be1d89dd9e15dee",
+    "cost_eur.json": "1dcced17dda91a5bb414f701949d089ccf789bb42b120ccf8e9a11348ab10f4a",
+    "simulate_idle.txt": "2e1ac8c667dd70d4745910a52465287a92121628a80f57b0f6b1c3556c84d86f",
 }
 
 
@@ -58,6 +70,12 @@ def golden_outputs(directory: Path, capsys) -> dict[str, bytes]:
         "--interval-s", "60", "--out-metrics", str(dm), "--out-power", str(dp))
     outputs["diurnal_metrics.csv"] = dm.read_bytes()
     outputs["diurnal_power.csv"] = dp.read_bytes()
+    outputs["cost.txt"] = run(*COST_ARGS)
+    outputs["cost_eur.txt"] = run(*COST_ARGS[:-2], "--months", "40", "--currency", "EUR")
+    outputs["cost_eur.json"] = run(*COST_ARGS[:-2], "--months", "40", "--currency", "EUR", "--json")
+    outputs["simulate_idle.txt"] = run(
+        "simulate", "--profile", "idle", "--duration-s", "600", "--out-metrics",
+        str(directory / "idle_metrics.csv"), "--out-power", str(directory / "idle_power.csv"))
     return outputs
 
 
