@@ -37,18 +37,8 @@ from .powermodel import (
     train,
 )
 from .regression import InsufficientDataError, RankDeficiencyError
-from .simgen import PROFILES, GroundTruth, SimConfig, SimConfigError, describe, generate
-from .tariff import (
-    Tariff,
-    TariffError,
-    _render_table,
-    breakdown,
-    breakdown_as_json,
-    project_cost,
-    projection_as_dict,
-    render_breakdown_text,
-    render_projection_text,
-)
+from .simgen import PROFILES, GroundTruth, SimConfig, SimConfigError, generate
+from .tariff import BreakdownReport, CostProjection, Tariff, TariffError, breakdown, project_cost
 from .trace import (
     AlignedTrace,
     TraceError,
@@ -101,6 +91,18 @@ def _print_table(text: str) -> None:
         first, _, rest = text.partition("\n")
         text = f"\033[1m{first}\033[0m\n{rest}"
     print(text)
+
+
+def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    widths = [
+        max(len(header[i]), max((len(r[i]) for r in rows), default=0))
+        for i in range(len(header))
+    ]
+    def fmt(cells):
+        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip()
+    lines = [fmt(header), fmt(["-" * w for w in widths])]
+    lines.extend(fmt(r) for r in rows)
+    return "\n".join(lines)
 
 
 def _format_p(p: float) -> str:
@@ -213,6 +215,27 @@ def _parse_category(raw: str) -> tuple[str, float]:
     return label, cost
 
 
+def render_projection_text(projection: CostProjection, currency: str) -> str:
+    """Year-by-year schedule as an aligned plain-text table."""
+    header = ("Year", "kWh", f"Rate ({currency}/kWh)", f"Cost ({currency})")
+    rows = [
+        (str(y.year_index), f"{y.kwh:,.2f}", f"{y.rate_used:.6g}", f"{y.cost:,.2f}")
+        for y in projection.yearly
+    ]
+    rows.append(("Total", "", "", f"{projection.total_cost:,.2f}"))
+    return _render_table(header, rows)
+
+
+def render_breakdown_text(report: BreakdownReport, currency: str) -> str:
+    """Category/cost/percent breakdown as an aligned plain-text table."""
+    header = ("Category", f"Cost ({currency})", "Percent")
+    rows = [
+        (c.label, f"{c.cost:,.2f}", f"{c.percent:.1f}%") for c in report.categories
+    ]
+    rows.append(("Total", f"{report.total:,.2f}", "100.0%"))
+    return _render_table(header, rows)
+
+
 def cmd_cost(args) -> int:
     if not math.isfinite(args.kwh_per_day) or args.kwh_per_day <= 0:
         raise UsageError(f"--kwh-per-day must be > 0, got {args.kwh_per_day}")
@@ -232,18 +255,36 @@ def cmd_cost(args) -> int:
         print(
             json.dumps(
                 {
-                    "projection": projection_as_dict(projection),
-                    "breakdown": breakdown_as_json(report),
+                    "projection": dataclasses.asdict(projection),
+                    "breakdown": dataclasses.asdict(report)["categories"],
                     "breakdown_total": report.total,
                 },
                 indent=2,
             )
         )
     else:
-        _print_table(render_projection_text(projection, currency=args.currency))
+        _print_table(render_projection_text(projection, args.currency))
         print()
-        _print_table(render_breakdown_text(report, currency=args.currency))
+        _print_table(render_breakdown_text(report, args.currency))
     return EXIT_OK
+
+
+def describe(config: SimConfig) -> str:
+    """Stable human-readable summary of the configuration."""
+    t = config.truth
+    lines = [
+        f"workload profile: {config.workload_profile}",
+        f"duration_s:       {config.duration_s!r}",
+        f"interval_s:       {config.interval_s!r}",
+        f"noise_sigma_w:    {config.noise_sigma_w!r}",
+        f"seed:             {config.seed}",
+        f"truth alpha:      {t.alpha!r} W baseline",
+        f"truth beta_cpu:   {t.beta_cpu!r}",
+        f"truth beta_mem:   {t.beta_mem!r}",
+        f"truth beta_disk:  {t.beta_disk!r}",
+        f"truth beta_net:   {t.beta_net!r}",
+    ]
+    return "\n".join(lines)
 
 
 def cmd_simulate(args) -> int:

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .regression import COLUMN_NAMES, DesignMatrix, FitDiagnostics, fit_ols
-from .trace import AlignedTrace
+from .trace import AlignedTrace, TraceError
 
 
 class ModelFormatError(ValueError):
@@ -86,8 +86,11 @@ def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
     """MAPE of predictions against metered power; accuracy = 100 - MAPE."""
     if not len(trace):
         raise ValueError("cannot evaluate on an empty trace")
-    errors = np.abs(predict(model, trace) - trace.power_w)
-    mape = 100.0 * float(np.mean(errors / trace.power_w))
+    with np.errstate(over="ignore"):
+        errors = np.abs(predict(model, trace) - trace.power_w)
+        mape = 100.0 * float(np.mean(errors / trace.power_w))
+    if not math.isfinite(mape):
+        raise TraceError(f"MAPE is not finite; the smallest power_w is {trace.power_w.min():.6g} W")
     return EvaluationReport(
         mape=mape,
         accuracy=100.0 - mape,

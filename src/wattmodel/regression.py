@@ -106,20 +106,18 @@ def fit_ols(design: DesignMatrix) -> tuple[np.ndarray, FitDiagnostics]:
     Standard errors use the unbiased residual variance and the diagonal of
     (R'R)^-1; R² is measured against the mean-only model.
     """
-    x, y = design.x, design.y
-    n, p = x.shape
-    col_norms = np.sqrt((x * x).sum(axis=0))
+    n, p = design.x.shape
 
-    # R of [x | y]: its leading p x p block is R of x, its last column Q'y
-    r_xy = np.linalg.qr(np.column_stack([x, y]), mode="r")
+    # R of [x | y]: R of x (whose columns keep x's norms), then Q'y over the residual norm
+    r_xy = np.linalg.qr(np.column_stack([design.x, design.y]), mode="r")
     r, qty = r_xy[:p, :p], r_xy[:p, p]
+    col_norms = np.sqrt((r * r).sum(axis=0))
     for j in range(p):
         if abs(r[j, j]) <= RANK_RTOL * col_norms[j]:
             raise RankDeficiencyError(COLUMN_NAMES[j])
 
     beta = np.linalg.solve(r, qty)
-    resid = y - x @ beta
-    ssr = float(resid @ resid)
+    ssr = float(r_xy[p, p] ** 2)
     df = n - p
     sigma2 = ssr / df
     residual_sigma = math.sqrt(sigma2)
@@ -136,11 +134,10 @@ def fit_ols(design: DesignMatrix) -> tuple[np.ndarray, FitDiagnostics]:
         )
     p_values = tuple(student_t_sf(float(t), df) for t in t_stats)
 
-    sst = float(((y - y.mean()) ** 2).sum())
-    if sst == 0.0:
-        r_squared = 1.0 if ssr == 0.0 else 0.0
-    else:
-        r_squared = min(1.0, max(0.0, 1.0 - ssr / sst))
+    # column 0 is all ones, so (Q'y)[0]**2 = n * mean(y)**2 and the rest of
+    # the last column sums to the squares about the mean; ssr is one term
+    sst = float((r_xy[1:, p] ** 2).sum())
+    r_squared = 1.0 - ssr / sst if sst else 1.0
 
     diagnostics = FitDiagnostics(
         r_squared=r_squared,
@@ -220,27 +217,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _CF_TINY:
+                d = _CF_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _CF_TINY:
+                c = _CF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             break
     return h

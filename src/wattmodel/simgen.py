@@ -207,21 +207,3 @@ def generate(config: SimConfig) -> tuple[MetricTrace, PowerTrace]:
             stacklevel=2,
         )
     return metrics, PowerTrace(np.column_stack([metrics.timestamp, watts]))
-
-
-def describe(config: SimConfig) -> str:
-    """Stable human-readable summary of the configuration."""
-    t = config.truth
-    lines = [
-        f"workload profile: {config.workload_profile}",
-        f"duration_s:       {config.duration_s!r}",
-        f"interval_s:       {config.interval_s!r}",
-        f"noise_sigma_w:    {config.noise_sigma_w!r}",
-        f"seed:             {config.seed}",
-        f"truth alpha:      {t.alpha!r} W baseline",
-        f"truth beta_cpu:   {t.beta_cpu!r}",
-        f"truth beta_mem:   {t.beta_mem!r}",
-        f"truth beta_disk:  {t.beta_disk!r}",
-        f"truth beta_net:   {t.beta_net!r}",
-    ]
-    return "\n".join(lines)

@@ -2,15 +2,15 @@
 
 Escalation steps annually: the horizon is split into 365-day years (the
 final partial year pro-rated by days) and year k is billed at
-rate * (1 + escalation)^k. Costs are kept at full float precision; rounding
-to cents happens only when rendering.
+rate * (1 + escalation)^k. Costs are kept at full float precision; the CLI
+rounds to cents when it renders them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 DAYS_PER_YEAR = 365.0
 MONTHS_PER_YEAR = 12
@@ -36,7 +36,8 @@ class Tariff:
             )
 
 
-class YearCost(NamedTuple):
+@dataclass(frozen=True)
+class YearCost:
     year_index: int
     kwh: float
     rate_used: float
@@ -45,12 +46,13 @@ class YearCost(NamedTuple):
 
 @dataclass(frozen=True)
 class CostProjection:
+    horizon_months: int
     yearly: tuple[YearCost, ...]
     total_cost: float
-    horizon_months: int
 
 
-class CategoryShare(NamedTuple):
+@dataclass(frozen=True)
+class CategoryShare:
     label: str
     cost: float
     percent: float
@@ -90,16 +92,15 @@ def project_cost(kwh_per_day: float, tariff: Tariff, horizon_months: int) -> Cos
     except OverflowError:
         raise TariffError("total cost overflows the float range") from None
     return CostProjection(
+        horizon_months=horizon_months,
         yearly=tuple(yearly),
         total_cost=total_cost,
-        horizon_months=horizon_months,
     )
 
 
 def breakdown(
     energy_cost: float,
     other_categories: Sequence[tuple[str, float]],
-    energy_label: str = ENERGY_CATEGORY_LABEL,
 ) -> BreakdownReport:
     """Append the energy line to the other categories and compute shares.
 
@@ -108,7 +109,7 @@ def breakdown(
     """
     if not math.isfinite(energy_cost) or energy_cost < 0.0:
         raise TariffError(f"energy cost must be >= 0, got {energy_cost}")
-    entries = list(other_categories) + [(energy_label, energy_cost)]
+    entries = list(other_categories) + [(ENERGY_CATEGORY_LABEL, energy_cost)]
     for label, cost in entries:
         if not math.isfinite(cost) or cost < 0.0:
             raise TariffError(f"category {label!r} cost must be >= 0, got {cost}")
@@ -121,49 +122,3 @@ def breakdown(
         for label, cost in entries
     )
     return BreakdownReport(categories=categories, total=total)
-
-
-def render_projection_text(projection: CostProjection, currency: str = "$") -> str:
-    """Year-by-year schedule as an aligned plain-text table."""
-    header = ("Year", "kWh", f"Rate ({currency}/kWh)", f"Cost ({currency})")
-    rows = [
-        (str(y.year_index), f"{y.kwh:,.2f}", f"{y.rate_used:.6g}", f"{y.cost:,.2f}")
-        for y in projection.yearly
-    ]
-    rows.append(("Total", "", "", f"{projection.total_cost:,.2f}"))
-    return _render_table(header, rows)
-
-
-def render_breakdown_text(report: BreakdownReport, currency: str = "$") -> str:
-    """Category/cost/percent breakdown as an aligned plain-text table."""
-    header = ("Category", f"Cost ({currency})", "Percent")
-    rows = [
-        (c.label, f"{c.cost:,.2f}", f"{c.percent:.1f}%") for c in report.categories
-    ]
-    rows.append(("Total", f"{report.total:,.2f}", "100.0%"))
-    return _render_table(header, rows)
-
-
-def projection_as_dict(projection: CostProjection) -> dict:
-    return {
-        "horizon_months": projection.horizon_months,
-        "yearly": [y._asdict() for y in projection.yearly],
-        "total_cost": projection.total_cost,
-    }
-
-
-def breakdown_as_json(report: BreakdownReport) -> list[dict]:
-    """The breakdown's machine form: a list of {label, cost, percent}."""
-    return [c._asdict() for c in report.categories]
-
-
-def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [
-        max(len(header[i]), max((len(r[i]) for r in rows), default=0))
-        for i in range(len(header))
-    ]
-    def fmt(cells):
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip()
-    lines = [fmt(header), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in rows)
-    return "\n".join(lines)

@@ -1,0 +1,61 @@
+"""Property test: `align` against a brute-force nearest-sample search.
+
+Timestamps are multiples of 0.5 s (plus an optional epoch-sized offset), so
+every difference is exact in float64 and a metric stamp halfway between two
+power stamps is a true tie. The reference scans every power sample: the
+smallest distance wins, a tie goes to the earlier power sample, and a row is
+kept when its distance is at most the tolerance.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wattmodel import AlignmentError, MetricSample, PowerSample, align
+
+
+@st.composite
+def streams(draw):
+    offset = draw(st.sampled_from((0.0, 1.7e9)))
+    ticks = sorted(draw(st.lists(st.integers(-500, 500), min_size=1, max_size=30, unique=True)))
+    power_ts = [offset + t for t in ticks]
+    stamps = {offset + h / 2 for h in draw(st.lists(st.integers(-1100, 1100), max_size=30))}
+    if len(ticks) > 1:
+        # metric stamps exactly halfway between two neighbouring power stamps
+        picks = draw(st.lists(st.integers(0, len(ticks) - 2), max_size=10))
+        stamps.update(offset + (ticks[i] + ticks[i + 1]) / 2 for i in picks)
+    if not stamps:
+        stamps.add(offset)
+    tolerance = draw(st.integers(1, 40)) / 4
+    return sorted(stamps), power_ts, tolerance
+
+
+def brute_force_align(metric_ts, power_ts, watts, tolerance):
+    """(timestamp, power_w) of each kept metric stamp."""
+    kept = []
+    for m in metric_ts:
+        best = min(range(len(power_ts)), key=lambda i: (abs(m - power_ts[i]), i))
+        if abs(m - power_ts[best]) <= tolerance:
+            kept.append((m, watts[best]))
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams())
+def test_align_matches_brute_force_nearest_search(case):
+    metric_ts, power_ts, tolerance = case
+    watts = [100.0 + i for i in range(len(power_ts))]
+    metrics = [MetricSample(t, 0.5, 1.0, 1.0, 1.0) for t in metric_ts]
+    power = [PowerSample(t, w) for t, w in zip(power_ts, watts)]
+    expected = brute_force_align(metric_ts, power_ts, watts, tolerance)
+
+    if not expected:
+        with pytest.raises(AlignmentError) as exc_info:
+            align(metrics, power, tolerance)
+        assert exc_info.value.n_dropped == len(metric_ts)
+        return
+    trace = align(metrics, power, tolerance)
+    assert list(zip(trace.timestamp.tolist(), trace.power_w.tolist())) == expected
+    assert trace.source_meta.n_metrics == len(metric_ts)
+    assert trace.source_meta.n_power == len(power_ts)
+    assert trace.source_meta.n_dropped == len(metric_ts) - len(expected)

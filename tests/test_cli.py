@@ -418,6 +418,22 @@ def test_evaluate_overflow_is_data_error(tmp_path, capsys):
     assert err.endswith("wattmodel: data error: model prediction for row 0 is not finite\n")
 
 
+def test_evaluate_subnormal_power_is_data_error(tmp_path, capsys):
+    metrics_path, power_path = tmp_path / "metrics.csv", tmp_path / "power.csv"
+    metrics_path.write_text(f"{METRICS_HEADER}\n0,0.5,0,0,0\n60,0.5,0,0,0\n", encoding="utf-8")
+    power_path.write_text(f"{POWER_HEADER}\n0,1e-310\n60,1e-310\n", encoding="utf-8")
+    model_path = Path(__file__).parent / "golden" / "model.json"
+    rc = main(["evaluate", "--model", str(model_path),
+               "--metrics", str(metrics_path), "--power", str(power_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no "mape": Infinity, which is not JSON
+    assert "warning" not in err
+    assert err.endswith(
+        "\nwattmodel: data error: MAPE is not finite; the smallest power_w is 1e-310 W\n"
+    )
+
+
 def test_corrupt_model_exits_2(tmp_path, capsys):
     bad_model = tmp_path / "model.json"
     bad_model.write_text('{"alpha": 1.0}', encoding="utf-8")

@@ -157,6 +157,13 @@ def test_evaluate_zero_power_is_trace_error():
         evaluate(exact_model(100.0), make_trace([0.5], [0], [0], [0], [0.0]))
 
 
+def test_evaluate_subnormal_power_is_trace_error():
+    # the percent error against a subnormal reading overflows to inf
+    trace = make_trace([0, 0], [0, 0], [0, 0], [0, 0], [1e-310, 1e-310])
+    with pytest.raises(TraceError, match="MAPE is not finite; the smallest power_w is 1e-310 W"):
+        evaluate(exact_model(100.0), trace)
+
+
 def test_predict_on_a_trace_matches_each_record():
     trace = simulated_trace(noise=1.0, seed=4, n=50)
     model = train(trace)

@@ -15,13 +15,13 @@ from wattmodel import (
     SimConfigError,
     align,
     default_tolerance,
-    describe,
     evaluate,
     format_metrics,
     format_power,
     generate,
     train,
 )
+from wattmodel.cli import describe
 
 FULL_RANK_PROFILES = ("diurnal", "bursty")
 

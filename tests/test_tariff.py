@@ -1,5 +1,6 @@
 """Cost projection and breakdown report tests."""
 
+import dataclasses
 import json
 import math
 
@@ -12,12 +13,7 @@ from wattmodel import (
     breakdown,
     project_cost,
 )
-from wattmodel.tariff import (
-    breakdown_as_json,
-    projection_as_dict,
-    render_breakdown_text,
-    render_projection_text,
-)
+from wattmodel.cli import render_breakdown_text, render_projection_text
 
 OTHER_CATEGORIES = [
     ("Data transfer", 58084.0),
@@ -190,7 +186,7 @@ def test_breakdown_validation():
 
 
 def test_projection_render_layout():
-    text = render_projection_text(project_cost(15.73, Tariff(0.14, 0.15), 36))
+    text = render_projection_text(project_cost(15.73, Tariff(0.14, 0.15), 36), "$")
     lines = text.splitlines()
     assert lines[0].startswith("Year")
     assert "Rate ($/kWh)" in lines[0]
@@ -199,7 +195,7 @@ def test_projection_render_layout():
 
 
 def test_breakdown_render_layout():
-    text = render_breakdown_text(breakdown(2767.0, OTHER_CATEGORIES))
+    text = render_breakdown_text(breakdown(2767.0, OTHER_CATEGORIES), "$")
     lines = text.splitlines()
     assert lines[0].startswith("Category")
     assert any("58,084.00" in line for line in lines)
@@ -209,20 +205,20 @@ def test_breakdown_render_layout():
 
 
 def test_custom_currency_label():
-    text = render_projection_text(project_cost(1.0, Tariff(0.2), 12), currency="EUR")
+    text = render_projection_text(project_cost(1.0, Tariff(0.2), 12), "EUR")
     assert "Rate (EUR/kWh)" in text
 
 
 def test_projection_as_dict_round_trips_through_json():
     projection = project_cost(15.73, Tariff(0.14, 0.15), 36)
-    doc = json.loads(json.dumps(projection_as_dict(projection)))
+    doc = json.loads(json.dumps(dataclasses.asdict(projection)))
     assert doc["horizon_months"] == 36
     assert len(doc["yearly"]) == 3
     assert doc["total_cost"] == projection.total_cost
 
 
 def test_breakdown_as_json_shape():
-    doc = breakdown_as_json(breakdown(2767.0, OTHER_CATEGORIES))
+    doc = dataclasses.asdict(breakdown(2767.0, OTHER_CATEGORIES))["categories"]
     assert [sorted(entry) for entry in doc] == [["cost", "label", "percent"]] * 5
     assert doc[0]["label"] == "Data transfer"
 
