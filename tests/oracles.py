@@ -5,7 +5,8 @@ Gaussian elimination on the normal equations, standard errors from an
 explicit (X'X)^-1, and t-distribution tail probabilities by direct numerical
 integration of the density. Agreement between these routes and the library
 is what the regression tests assert. A line-at-a-time CSV parser is the
-reference for the columnar trace parser.
+reference for the columnar trace parser, and a sample-at-a-time trace
+generator the reference for the columnar one.
 """
 
 import math
@@ -162,3 +163,75 @@ def oracle_parse_power(text):
         prev = ts
         rows.append((ts, power))
     return rows
+
+
+# ------------------------------------------------------------- trace generator
+#
+# The sample-at-a-time generator as it stood before `generate` moved to
+# numpy columns: one closure per profile, called once per sample, with the
+# diurnal jitter drawn from the shared stream just before that sample's
+# noise draw. The columnar generator must agree with it bit for bit.
+
+_SCALES = (1.0, 4.0e6, 400.0, 4.0e8)
+_BURSTY_CYCLES = (19.0, 29.0, 43.0, 61.0)
+_DIURNAL_PERIOD_S = 86_400.0
+
+
+def _oracle_regressors(config, rng):
+    profile = config.workload_profile
+    if profile == "idle":
+        return lambda t: (0.0, 0.0, 0.0, 0.0)
+
+    if profile == "constant":
+        mid = tuple(0.5 * s for s in _SCALES)
+        return lambda t: mid
+
+    if profile == "diurnal":
+        phases = tuple(rng.uniform() * 2.0 * math.pi for _ in _SCALES)
+
+        def diurnal(t):
+            values = []
+            for scale, phase in zip(_SCALES, phases):
+                base = 0.5 + 0.4 * math.sin(2.0 * math.pi * t / _DIURNAL_PERIOD_S + phase)
+                jitter = 0.05 * (2.0 * rng.uniform() - 1.0)
+                values.append(min(scale, max(0.0, scale * (base + jitter))))
+            return tuple(values)
+
+        return diurnal
+
+    periods = tuple(config.duration_s / c for c in _BURSTY_CYCLES)
+    phases = tuple(rng.uniform() * p for p in periods)
+
+    def bursty(t):
+        values = []
+        for scale, period, phase in zip(_SCALES, periods, phases):
+            on = (t + phase) % period < 0.5 * period
+            values.append(scale * (0.8 if on else 0.05))
+        return tuple(values)
+
+    return bursty
+
+
+def oracle_generate(config, rng):
+    """Metric rows, power column and floored-sample count for config.
+
+    rng is a fresh PortableRandom seeded with config.seed. Power is the
+    truth applied in the library's term order, plus sigma times the noise
+    draw, floored at 1 W.
+    """
+    sample_fn = _oracle_regressors(config, rng)
+    n = max(2, int(round(config.duration_s / config.interval_s)))
+    sigma = config.noise_sigma_w
+    truth = config.truth
+    rows, watts, floored = [], [], 0
+    for i in range(n):
+        t = i * config.interval_s
+        cpu, mem, disk, net = sample_fn(t)
+        noise = rng.gaussian() if sigma > 0.0 else 0.0
+        w = (truth.alpha + truth.beta_cpu * cpu + truth.beta_mem * mem
+             + truth.beta_disk * disk + truth.beta_net * net) + sigma * noise
+        if w < 1.0:
+            w, floored = 1.0, floored + 1
+        rows.append((t, cpu, mem, disk, net))
+        watts.append(w)
+    return np.array(rows), np.array(watts), floored

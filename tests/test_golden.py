@@ -2,10 +2,11 @@
 
 One seeded `simulate` pair drives `predict`, `evaluate` and both `energy`
 modes against a fixed model document (tests/golden/model.json, the `fit`
-of that pair with `created_at` set to 0). The `cost` tables and JSON and
-the `simulate` summary text are pinned too. Any change in number formatting,
-random stream, alignment or arithmetic order changes a hash. `fit` itself
-is compared field by field, since its last bits depend on the QR routine.
+of that pair with `created_at` set to 0). The `cost` tables and JSON, the
+`simulate` summary text and the `simulate` CSVs of all four profiles are
+pinned too. Any change in number formatting, random stream, alignment or
+arithmetic order changes a hash. `fit` itself is compared field by field,
+since its last bits depend on the QR routine.
 """
 
 import hashlib
@@ -39,6 +40,10 @@ GOLDEN_SHA256 = {
     "cost_eur.txt": "f6d80e4feb21ace77aa88c2339f8b3de7f9e157cef0bd4ab6be1d89dd9e15dee",
     "cost_eur.json": "1dcced17dda91a5bb414f701949d089ccf789bb42b120ccf8e9a11348ab10f4a",
     "simulate_idle.txt": "2e1ac8c667dd70d4745910a52465287a92121628a80f57b0f6b1c3556c84d86f",
+    "idle_metrics.csv": "196d6d78f93c2a92faebb32d10122da48f215da1d6437c2bc1ba22e7580ed35d",
+    "idle_power.csv": "ec4ea2ca6e672fa67943ffcc6314c5fc66cc013f20ce30a579739adc9b1f2763",
+    "constant_metrics.csv": "93dfc9da240cfac7a7db8b544ae6a04e27f280e0587a27afada4986a0902e0d7",
+    "constant_power.csv": "88fc19103c23d9464e7a39f0e3fbea9730d5ccb4c3bf7f78b4b325b93148eaee",
 }
 
 
@@ -70,6 +75,13 @@ def golden_outputs(directory: Path, capsys) -> dict[str, bytes]:
         "--interval-s", "60", "--out-metrics", str(dm), "--out-power", str(dp))
     outputs["diurnal_metrics.csv"] = dm.read_bytes()
     outputs["diurnal_power.csv"] = dp.read_bytes()
+    # idle and constant draw nothing but the noise
+    for profile in ("idle", "constant"):
+        pm, pp = directory / f"{profile}_metrics.csv", directory / f"{profile}_power.csv"
+        run("simulate", "--profile", profile, "--seed", "42", "--noise-w", "2",
+            "--interval-s", "60", "--out-metrics", str(pm), "--out-power", str(pp))
+        outputs[pm.name] = pm.read_bytes()
+        outputs[pp.name] = pp.read_bytes()
     outputs["cost.txt"] = run(*COST_ARGS)
     outputs["cost_eur.txt"] = run(*COST_ARGS[:-2], "--months", "40", "--currency", "EUR")
     outputs["cost_eur.json"] = run(*COST_ARGS[:-2], "--months", "40", "--currency", "EUR", "--json")

@@ -4,12 +4,17 @@ import math
 import statistics
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REF_TRUTH
+from oracles import oracle_generate
 from wattmodel import (
     FloorWarning,
     GroundTruth,
+    PROFILES,
     PortableRandom,
     SimConfig,
     SimConfigError,
@@ -165,6 +170,32 @@ def test_noiseless_power_is_exact_truth_application():
         expected = (truth.alpha + truth.beta_cpu * m.cpu + truth.beta_mem * m.mem
                     + truth.beta_disk * m.disk + truth.beta_net * m.net)
         assert p.power_w == expected
+
+
+@st.composite
+def sim_configs(draw):
+    interval = draw(st.sampled_from((60.0, 7.3, 1.0)) | st.floats(0.25, 500.0))
+    # a fractional number of intervals, so the interval need not divide it
+    duration = interval * draw(st.floats(2.0, 301.0))
+    noise = draw(st.sampled_from((0.0, 0.0, 2.0, 500.0)) | st.floats(0.01, 1000.0))
+    seed = draw(st.sampled_from((0, 1, 2**64, 2**70 + 3)) | st.integers(-2**70, 2**70))
+    return config(profile=draw(st.sampled_from(PROFILES)), duration=duration,
+                  interval=interval, noise=noise, seed=seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sim_configs())
+def test_generate_matches_sample_at_a_time_oracle(cfg):
+    rows, watts, floored = oracle_generate(cfg, PortableRandom(cfg.seed))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        metrics, power = generate(cfg)
+    assert np.array_equal(np.asarray(metrics), rows)
+    assert np.array_equal(np.asarray(power), np.column_stack([rows[:, 0], watts]))
+    floor_warnings = [w for w in caught if w.category is FloorWarning]
+    assert len(floor_warnings) == (floored > 0)
+    if floored:
+        assert str(floor_warnings[0].message).startswith(f"{floored} of {len(rows)} ")
 
 
 # ----------------------------------------------------------- closed loop
