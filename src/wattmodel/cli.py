@@ -38,6 +38,7 @@ from .powermodel import (
 )
 from .regression import InsufficientDataError, RankDeficiencyError
 from .simgen import PROFILES, GroundTruth, SimConfig, SimConfigError, generate
+from .tariff import MAX_HORIZON_MONTHS
 from .tariff import BreakdownReport, CostProjection, Tariff, TariffError, breakdown, project_cost
 from .trace import (
     AlignedTrace,
@@ -243,8 +244,8 @@ def cmd_cost(args) -> int:
         raise UsageError(f"--rate must be > 0, got {args.rate}")
     if not math.isfinite(args.escalation) or args.escalation < 0:
         raise UsageError(f"--escalation must be >= 0, got {args.escalation}")
-    if args.months < 1:
-        raise UsageError(f"--months must be >= 1, got {args.months}")
+    if not 1 <= args.months <= MAX_HORIZON_MONTHS:
+        raise UsageError(f"--months must be 1..{MAX_HORIZON_MONTHS}, got {args.months}")
     categories = [_parse_category(raw) for raw in args.category]
 
     tariff = Tariff(rate_per_kwh=args.rate, escalation_per_year=args.escalation)

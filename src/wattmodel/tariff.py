@@ -14,6 +14,9 @@ from typing import Sequence
 
 DAYS_PER_YEAR = 365.0
 MONTHS_PER_YEAR = 12
+# The longest horizon project_cost takes, 1,000 years: the schedule holds one
+# YearCost per year, so an unbounded horizon grows until memory runs out.
+MAX_HORIZON_MONTHS = 12_000
 
 ENERGY_CATEGORY_LABEL = "Energy usage"
 
@@ -68,8 +71,8 @@ def project_cost(kwh_per_day: float, tariff: Tariff, horizon_months: int) -> Cos
     """Cost schedule for a constant daily energy demand under the tariff."""
     if not math.isfinite(kwh_per_day) or kwh_per_day <= 0.0:
         raise TariffError(f"kwh_per_day must be > 0, got {kwh_per_day}")
-    if horizon_months < 1:
-        raise TariffError(f"horizon_months must be >= 1, got {horizon_months}")
+    if not 1 <= horizon_months <= MAX_HORIZON_MONTHS:
+        raise TariffError(f"horizon_months must be 1..{MAX_HORIZON_MONTHS}, got {horizon_months}")
 
     days_left = horizon_months * DAYS_PER_YEAR / MONTHS_PER_YEAR
     yearly: list[YearCost] = []

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -290,6 +291,16 @@ def test_cost_flag_validation(capsys):
     assert main(["cost", "--kwh-per-day", "15.73", "--rate", "0.14",
                  "--months", "12", "--category", "X=-5"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cost_horizon_past_a_thousand_years_is_usage_error(capsys):
+    for months in ("12001", "100000000000"):
+        started = time.perf_counter()
+        assert main(["cost", "--kwh-per-day", "1", "--rate", "0.1", "--months", months]) == 1
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"wattmodel: error: --months must be 1..12000, got {months}\n"
 
 
 def test_cost_overflow_is_data_error(capsys):

@@ -13,6 +13,7 @@ from wattmodel import (
     breakdown,
     project_cost,
 )
+from wattmodel.tariff import MAX_HORIZON_MONTHS
 from wattmodel.cli import render_breakdown_text, render_projection_text
 
 OTHER_CATEGORIES = [
@@ -117,6 +118,15 @@ def test_projection_overflow_is_a_tariff_error():
     # each year's cost is finite, their sum is not
     with pytest.raises(TariffError, match="total cost"):
         project_cost(1e305, Tariff(2.0), 48)
+
+
+def test_horizon_is_capped_at_a_thousand_years():
+    # one YearCost per year: an unbounded horizon would grow until memory ran out
+    assert MAX_HORIZON_MONTHS == 12_000
+    projection = project_cost(1.0, Tariff(0.1), MAX_HORIZON_MONTHS)
+    assert len(projection.yearly) == 1000
+    with pytest.raises(TariffError, match="horizon_months must be 1..12000, got 12001"):
+        project_cost(1.0, Tariff(0.1), 12_001)
 
 
 # --------------------------------------------------------------- breakdown
