@@ -496,6 +496,23 @@ def test_metered_energy_does_not_import_numpy_ma(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
 
+def test_commands_do_not_import_scipy(tmp_path):
+    # numpy is the only declared runtime dependency; scipy may be installed all the same
+    m, p, model = (str(tmp_path / name) for name in ("m.csv", "p.csv", "model.json"))
+    commands = [
+        ["simulate", "--noise-w", "2", "--out-metrics", m, "--out-power", p],
+        ["fit", "--metrics", m, "--power", p, "--out", model],
+        ["evaluate", "--model", model, "--metrics", m, "--power", p],
+        ["cost", "--kwh-per-day", "1", "--rate", "0.1", "--months", "12"],
+    ]
+    code = ("import sys; from wattmodel.cli import main; "
+            f"codes = [main(argv) for argv in {commands!r}]; "
+            "print(codes, [name for name in sys.modules if name.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=str(Path(wattmodel.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []", done.stderr
+
+
 def test_results_go_to_stdout_only(tmp_path, capsys):
     model_path, metrics_path, power_path = fit_model_file(tmp_path)
     capsys.readouterr()

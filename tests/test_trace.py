@@ -5,6 +5,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wattmodel import (
     AlignedRow,
@@ -196,6 +198,34 @@ def test_round_trip_awkward_floats():
     # values with no short decimal form still round-trip exactly via repr
     metrics = [MetricSample(0.1 + 0.2, 1.0 / 3.0, 2.0**-40, 0.0, 1e300 * 0.0)]
     assert list(parse_metrics(format_metrics(metrics))) == metrics
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MAGNITUDES = st.sampled_from((0.0, 5e-324, 2.2250738585072e-308, 1e308)) | st.floats(0.0, 1e308)
+CPU = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+POWER = st.sampled_from((5e-324, 1e308)) | st.floats(0.0, 1e308, exclude_min=True)
+
+
+@st.composite
+def trace_rows(draw):
+    """Rows of (timestamp, cpu, mem, disk, net, power_w) that both traces accept."""
+    stamps = sorted(draw(st.lists(FINITE, max_size=20, unique=True)))
+    return np.array(
+        [(t, draw(CPU), draw(MAGNITUDES), draw(MAGNITUDES), draw(MAGNITUDES), draw(POWER))
+         for t in stamps]
+    ).reshape(-1, 6)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_rows())
+def test_csv_round_trip_is_bit_exact(rows):
+    # the contract simulate -> fit relies on: what is written is what is read
+    assert same_bits(parse_metrics(format_metrics(rows[:, :5])), rows[:, :5])
+    assert same_bits(parse_power(format_power(rows[:, [0, 5]])), rows[:, [0, 5]])
 
 
 # ------------------------------------------------------------- alignment
