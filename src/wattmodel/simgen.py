@@ -176,8 +176,9 @@ def generate(config: SimConfig) -> tuple[MetricTrace, PowerTrace]:
     sigma = config.noise_sigma_w
     rng = PortableRandom(config.seed)
     phases = np.array([rng.uniform() for _ in _SCALES if profile in ("diurnal", "bursty")])
-    per_sample = [rng.uniform] * len(_SCALES) * (profile == "diurnal")
-    per_sample += [rng.gaussian] * (sigma > 0.0)
+    per_sample = [rng.uniform] * len(_SCALES) if profile == "diurnal" else []
+    if sigma > 0.0:
+        per_sample.append(rng.gaussian)
     draws = np.fromiter(
         (draw() for _ in range(n) for draw in per_sample), float, n * len(per_sample)
     ).reshape(n, -1)
