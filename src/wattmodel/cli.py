@@ -72,13 +72,6 @@ class UsageError(ValueError):
     """A flag value is out of range or flags are combined illegally."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage problems; this tool reserves 2 for data errors
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -120,6 +113,10 @@ def _coefficient_table(model: PowerModel) -> str:
         )
     ]
     return _render_table(("Coefficient", "Symbol", "Value", "Std. error", "t", "p"), rows)
+
+
+def _print_json(document) -> None:
+    print(json.dumps(document, indent=2))
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -182,7 +179,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(_read_text(args.model))
-    print(json.dumps(dataclasses.asdict(evaluate(model, _aligned(args))), indent=2))
+    _print_json(dataclasses.asdict(evaluate(model, _aligned(args))))
     return EXIT_OK
 
 
@@ -199,7 +196,7 @@ def cmd_energy(args) -> int:
         model = load_model(_read_text(args.model))
         metrics = parse_metrics(_read_text(args.metrics))
         report = integrate_predicted(model, metrics)
-    print(json.dumps(dataclasses.asdict(report), indent=2))
+    _print_json(dataclasses.asdict(report))
     return EXIT_OK
 
 
@@ -253,16 +250,11 @@ def cmd_cost(args) -> int:
     report = breakdown(projection.total_cost, categories)
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "projection": dataclasses.asdict(projection),
-                    "breakdown": dataclasses.asdict(report)["categories"],
-                    "breakdown_total": report.total,
-                },
-                indent=2,
-            )
-        )
+        _print_json({
+            "projection": dataclasses.asdict(projection),
+            "breakdown": dataclasses.asdict(report)["categories"],
+            "breakdown_total": report.total,
+        })
     else:
         _print_table(render_projection_text(projection, args.currency))
         print()
@@ -288,22 +280,14 @@ def describe(config: SimConfig) -> str:
     return "\n".join(lines)
 
 
+def _from_flags(cls, args, **given):
+    """A cls dataclass with each field not given taken from the flag of its name."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in given}
+    return cls(**given, **flags)
+
+
 def cmd_simulate(args) -> int:
-    truth = GroundTruth(
-        alpha=args.alpha,
-        beta_cpu=args.beta_cpu,
-        beta_mem=args.beta_mem,
-        beta_disk=args.beta_disk,
-        beta_net=args.beta_net,
-    )
-    config = SimConfig(
-        truth=truth,
-        duration_s=args.duration_s,
-        interval_s=args.interval_s,
-        noise_sigma_w=args.noise_w,
-        seed=args.seed,
-        workload_profile=args.profile,
-    )
+    config = _from_flags(SimConfig, args, truth=_from_flags(GroundTruth, args))
     metrics, power = generate(config)
     Path(args.out_metrics).write_text(format_metrics(metrics), encoding="utf-8")
     Path(args.out_power).write_text(format_power(power), encoding="utf-8")
@@ -312,25 +296,20 @@ def cmd_simulate(args) -> int:
         file=sys.stderr,
     )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "out_metrics": args.out_metrics,
-                    "out_power": args.out_power,
-                    "n_samples": len(metrics),
-                    "profile": config.workload_profile,
-                    "seed": config.seed,
-                },
-                indent=2,
-            )
-        )
+        _print_json({
+            "out_metrics": args.out_metrics,
+            "out_power": args.out_power,
+            "n_samples": len(metrics),
+            "profile": config.workload_profile,
+            "seed": config.seed,
+        })
     else:
         print(describe(config))
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="wattmodel",
         description="Train server power models from utilization and meter "
         "traces, predict watts, and project energy cost.",
@@ -341,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", required=True, help="metrics CSV path")
     p.add_argument("--power", required=True, help="power CSV path")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--tolerance-s", type=float, default=None, dest="tolerance_s",
+    p.add_argument("--tolerance-s", type=float, default=None,
                    help="pairing window in seconds (default: half the median metric interval)")
     p.add_argument("--hardware-id", default="", help="label for the hardware configuration")
     p.add_argument("--json", action="store_true", help="emit the model JSON on stdout instead of a table")
@@ -357,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--metrics", required=True, help="metrics CSV path")
     p.add_argument("--power", required=True, help="power CSV path")
-    p.add_argument("--tolerance-s", type=float, default=None, dest="tolerance_s",
+    p.add_argument("--tolerance-s", type=float, default=None,
                    help="pairing window in seconds (default: half the median metric interval)")
     p.set_defaults(func=cmd_evaluate)
 
@@ -368,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("cost", help="project energy cost under an escalating tariff")
-    p.add_argument("--kwh-per-day", type=float, required=True, dest="kwh_per_day")
+    p.add_argument("--kwh-per-day", type=float, required=True)
     p.add_argument("--rate", type=float, required=True, help="currency per kWh")
     p.add_argument("--escalation", type=float, default=0.0,
                    help="annual rate growth as a fraction (default 0)")
@@ -380,19 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("simulate", help="generate a synthetic metric/power trace pair")
-    p.add_argument("--profile", choices=PROFILES, default="bursty")
+    p.add_argument("--profile", choices=PROFILES, default="bursty", dest="workload_profile")
     p.add_argument("--alpha", type=float, default=107.5, help="baseline watts")
-    p.add_argument("--beta-cpu", type=float, default=124.9, dest="beta_cpu")
-    p.add_argument("--beta-mem", type=float, default=5.471e-06, dest="beta_mem")
-    p.add_argument("--beta-disk", type=float, default=3.661e-02, dest="beta_disk")
-    p.add_argument("--beta-net", type=float, default=3.382e-08, dest="beta_net")
-    p.add_argument("--duration-s", type=float, default=86400.0, dest="duration_s")
-    p.add_argument("--interval-s", type=float, default=60.0, dest="interval_s")
-    p.add_argument("--noise-w", type=float, default=0.0, dest="noise_w",
+    p.add_argument("--beta-cpu", type=float, default=124.9)
+    p.add_argument("--beta-mem", type=float, default=5.471e-06)
+    p.add_argument("--beta-disk", type=float, default=3.661e-02)
+    p.add_argument("--beta-net", type=float, default=3.382e-08)
+    p.add_argument("--duration-s", type=float, default=86400.0)
+    p.add_argument("--interval-s", type=float, default=60.0)
+    p.add_argument("--noise-w", type=float, default=0.0, dest="noise_sigma_w", metavar="NOISE_W",
                    help="Gaussian noise sigma in watts")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out-metrics", required=True, dest="out_metrics")
-    p.add_argument("--out-power", required=True, dest="out_power")
+    p.add_argument("--out-metrics", required=True)
+    p.add_argument("--out-power", required=True)
     p.add_argument("--json", action="store_true", help="emit a JSON summary instead of text")
     p.set_defaults(func=cmd_simulate)
 
@@ -404,7 +383,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # argparse exits 2 on usage problems; this tool reserves 2 for data errors
+        return EXIT_USAGE if exc.code else EXIT_OK
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

@@ -41,8 +41,8 @@ def _integrate_series(timestamps: np.ndarray, watts: np.ndarray) -> EnergyReport
         raise EnergyError(f"need at least 2 samples to integrate, got {len(timestamps)}")
     dt = np.diff(timestamps)
     median_dt = _median(dt)
-    if (dt > 10.0 * median_dt).any():
-        n_gaps = int((dt > 10.0 * median_dt).sum())
+    n_gaps = int((dt > 10.0 * median_dt).sum())
+    if n_gaps:
         warnings.warn(
             f"{n_gaps} sampling gap(s) exceed 10x the median interval "
             f"({median_dt:.6g} s); integrating across them as-is",

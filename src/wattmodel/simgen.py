@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,9 +105,9 @@ class GroundTruth:
     beta_net: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta_cpu", "beta_mem", "beta_disk", "beta_net"):
-            if not math.isfinite(getattr(self, name)):
-                raise SimConfigError(f"truth coefficient {name} must be finite")
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise SimConfigError(f"truth coefficient {field.name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-METRICS_HEADER = "timestamp,cpu,mem,disk,net"
-POWER_HEADER = "timestamp,power_w"
-
-
 class TraceError(ValueError):
     """Invalid trace data: malformed CSV, out-of-range field, bad ordering."""
 
@@ -44,11 +40,15 @@ class ParseError(TraceError):
 class AlignmentError(TraceError):
     """Alignment produced zero rows; carries the stream and drop counts."""
 
-    def __init__(self, message: str, *, n_metrics: int, n_power: int, n_dropped: int):
-        super().__init__(message)
-        self.n_metrics = n_metrics
-        self.n_power = n_power
-        self.n_dropped = n_dropped
+    def __init__(self, tolerance_s: float, meta: AlignmentMeta):
+        super().__init__(
+            f"no metric sample found a power sample within {tolerance_s} s "
+            f"({meta.n_metrics} metric and {meta.n_power} power samples, "
+            f"{meta.n_dropped} dropped)"
+        )
+        self.n_metrics = meta.n_metrics
+        self.n_power = meta.n_power
+        self.n_dropped = meta.n_dropped
 
 
 class _RowError(TraceError):
@@ -75,6 +75,10 @@ class PowerSample(NamedTuple):
 
     timestamp: float
     power_w: float
+
+
+METRICS_HEADER = ",".join(MetricSample._fields)
+POWER_HEADER = ",".join(PowerSample._fields)
 
 
 class AlignedRow(NamedTuple):
@@ -339,13 +343,6 @@ def align(metrics, power, tolerance_s: float) -> AlignedTrace:
     dropped = len(metrics) - int(keep.sum())
     meta = AlignmentMeta(n_metrics=len(metrics), n_power=len(power), n_dropped=dropped)
     if dropped == len(metrics):
-        raise AlignmentError(
-            f"no metric sample found a power sample within {tolerance_s} s "
-            f"({meta.n_metrics} metric and {meta.n_power} power samples, "
-            f"{dropped} dropped)",
-            n_metrics=meta.n_metrics,
-            n_power=meta.n_power,
-            n_dropped=dropped,
-        )
+        raise AlignmentError(tolerance_s, meta)
     rows = np.column_stack([np.asarray(metrics)[keep], power.power_w[nearest[keep]]])
     return AlignedTrace(rows, source_meta=meta)
