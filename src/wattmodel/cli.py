@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import EnergyError, integrate, integrate_predicted
+from .energy import EnergyError, GapWarning, integrate, integrate_predicted
 from .powermodel import (
     ModelFormatError,
     PowerModel,
@@ -37,7 +37,7 @@ from .powermodel import (
     train,
 )
 from .regression import InsufficientDataError, RankDeficiencyError
-from .simgen import PROFILES, GroundTruth, SimConfig, SimConfigError, generate
+from .simgen import PROFILES, FloorWarning, GroundTruth, SimConfig, SimConfigError, generate
 from .tariff import MAX_HORIZON_MONTHS
 from .tariff import BreakdownReport, CostProjection, Tariff, TariffError, breakdown, project_cost
 from .trace import (
@@ -391,6 +391,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
+            # the tool's own warnings are diagnostics, whatever -W or PYTHONWARNINGS say
+            for category in (GapWarning, FloorWarning):
+                warnings.simplefilter("default", category)
             return args.func(args)
     except (UsageError, SimConfigError) as exc:
         print(f"wattmodel: error: {exc}", file=sys.stderr)

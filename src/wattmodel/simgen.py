@@ -32,6 +32,14 @@ DISK_SCALE = 400.0
 NET_SCALE = 4.0e8
 _SCALES = (CPU_SCALE, MEM_SCALE, DISK_SCALE, NET_SCALE)
 
+# The most samples one simulation makes: 365 days at 1 Hz. A larger count
+# would need more memory than a trace file is worth, or more than numpy can index.
+MAX_SAMPLES = 31_536_000
+
+# The largest |z| PortableRandom.gaussian returns: its Box-Muller radius at
+# the smallest uniform it draws, 2**-53.
+_MAX_GAUSSIAN = math.sqrt(-2.0 * math.log(2.0**-53))
+
 # Bursty square-wave cycle counts per regressor over the trace duration.
 # Pairwise coprime so no two regressors ever lock into the same on/off
 # pattern — this is what guarantees full-rank variation by construction.
@@ -127,12 +135,21 @@ class SimConfig:
                 f"duration_s must be at least 2x interval_s, got "
                 f"{self.duration_s} vs interval {self.interval_s}"
             )
-        if not math.isfinite(self.duration_s / self.interval_s):
+        if not self.duration_s / self.interval_s <= MAX_SAMPLES:
             raise SimConfigError(
-                f"duration_s / interval_s overflows: {self.duration_s} / {self.interval_s}"
+                f"duration_s / interval_s overflows the {MAX_SAMPLES:,} sample cap: "
+                f"{self.duration_s} / {self.interval_s}"
             )
         if not math.isfinite(self.noise_sigma_w) or self.noise_sigma_w < 0.0:
             raise SimConfigError(f"noise_sigma_w must be >= 0, got {self.noise_sigma_w}")
+        t = self.truth
+        betas = (t.beta_cpu, t.beta_mem, t.beta_disk, t.beta_net)
+        bound = abs(t.alpha) + sum(abs(b) * s for b, s in zip(betas, _SCALES))
+        if not math.isfinite(bound + _MAX_GAUSSIAN * self.noise_sigma_w):
+            raise SimConfigError(
+                "power overflows: |alpha| + sum |beta_i| * scale_i "
+                f"+ {_MAX_GAUSSIAN:.4g} * noise_sigma_w is not finite"
+            )
         if self.workload_profile not in PROFILES:
             raise SimConfigError(
                 f"unknown workload_profile {self.workload_profile!r}; "

@@ -116,7 +116,10 @@ def breakdown(
     for label, cost in entries:
         if not math.isfinite(cost) or cost < 0.0:
             raise TariffError(f"category {label!r} cost must be >= 0, got {cost}")
-    total = math.fsum(cost for _, cost in entries)
+    try:
+        total = math.fsum(cost for _, cost in entries)
+    except OverflowError:
+        raise TariffError("total of the category costs overflows the float range") from None
     if total <= 0.0:
         raise TariffError("all category costs are zero; percentages are undefined")
     entries.sort(key=lambda item: -item[1])

@@ -362,6 +362,29 @@ def test_simulate_bad_config_is_usage_error(tmp_path, capsys):
         "wattmodel: error: duration_s / interval_s overflows")
 
 
+# flag values whose power overflows, and sample counts past the cap
+SIMULATE_OUT_OF_RANGE = [
+    ["--noise-w", "1e308"],
+    ["--beta-net", "1e301"],
+    ["--duration-s", "1e15", "--interval-s", "1"],
+    ["--duration-s", "1e20", "--interval-s", "1"],
+]
+
+
+@pytest.mark.parametrize("flags", SIMULATE_OUT_OF_RANGE)
+def test_simulate_out_of_range_flags_are_usage_errors(tmp_path, capsys, flags):
+    started = time.perf_counter()
+    rc = main(["simulate", *flags, "--out-metrics", str(tmp_path / "m"),
+               "--out-power", str(tmp_path / "p")])
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("wattmodel: error: ")
+    assert "RuntimeWarning" not in err
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -511,6 +534,26 @@ def test_commands_do_not_import_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(wattmodel.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []", done.stderr
+
+
+def test_tool_warnings_survive_warnings_as_errors(tmp_path):
+    gappy = tmp_path / "gappy.csv"
+    stamps = [i * 10.0 for i in range(30)] + [5000.0 + i * 10.0 for i in range(30)]
+    gappy.write_text(format_power([(t, 200.0) for t in stamps]), encoding="utf-8")
+    runs = [
+        ("GapWarning", ["energy", "--power", str(gappy)]),
+        ("FloorWarning", ["simulate", "--alpha", "0.5", "--beta-cpu", "0", "--noise-w", "5",
+                          "--duration-s", "3600", "--out-metrics", str(tmp_path / "m.csv"),
+                          "--out-power", str(tmp_path / "p.csv")]),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(wattmodel.__file__).parents[1]),
+               PYTHONWARNINGS="error")
+    for category, argv in runs:
+        done = subprocess.run([sys.executable, "-m", "wattmodel", *argv],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.startswith(f"wattmodel: warning: {category}: ")
+        assert "Traceback" not in done.stderr
 
 
 def test_results_go_to_stdout_only(tmp_path, capsys):

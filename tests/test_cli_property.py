@@ -1,0 +1,103 @@
+"""Property tests: no flag value makes a command raise instead of exiting 0, 1 or 2."""
+
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from wattmodel import PROFILES
+from wattmodel.cli import main
+from wattmodel.simgen import MAX_SAMPLES
+
+# typical values, zero, negatives, infinities, nan, a subnormal and near-overflow values
+FLOATS = st.sampled_from(
+    [1.0, 60.0, 107.5, 3600.0, 0.0, -1.0, math.inf, -math.inf, math.nan, 1e-320, 1e301, 1e308]
+)
+MONTHS = st.sampled_from([-1, 0, 1, 12_000, 12_001, 10**11])
+SEEDS = st.sampled_from([-1, 0, 1, 2**70 + 3])
+DEFAULT_TRUTH = (107.5, 124.9, 5.471e-06, 3.661e-02, 3.382e-08)
+TRUTH_FLAGS = ("alpha", "beta-cpu", "beta-mem", "beta-disk", "beta-net")
+
+PROPERTY = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _few_or_too_many(pair) -> bool:
+    """At most 1,000 samples or past the cap, so that no example builds a large trace."""
+    with np.errstate(all="ignore"):
+        count = np.float64(pair[0]) / np.float64(pair[1])
+    return not 1_000 < count <= MAX_SAMPLES
+
+
+DURATION_INTERVAL = st.tuples(FLOATS, FLOATS).filter(_few_or_too_many)
+
+
+def _flag(name, value) -> str:
+    # --name=value, so that argparse reads a value such as -inf as a value, not a flag
+    return f"--{name}={value!r}"
+
+
+def _check_exit(argv, capsys) -> None:
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 1:
+        lines = err.splitlines()
+        assert "error:" in lines[-1], err
+        assert sum("error:" in line for line in lines) == 1, err
+
+
+@PROPERTY
+@given(
+    profile=st.sampled_from(PROFILES),
+    truth=st.tuples(*[FLOATS] * len(TRUTH_FLAGS)),
+    noise=FLOATS,
+    seed=SEEDS,
+    duration_interval=DURATION_INTERVAL,
+)
+@example(profile="bursty", truth=DEFAULT_TRUTH, noise=1e308, seed=1,
+         duration_interval=(3600.0, 60.0))
+@example(profile="bursty", truth=DEFAULT_TRUTH[:4] + (1e301,), noise=0.0, seed=1,
+         duration_interval=(3600.0, 60.0))
+@example(profile="bursty", truth=DEFAULT_TRUTH, noise=0.0, seed=1,
+         duration_interval=(1e15, 1.0))
+@example(profile="bursty", truth=DEFAULT_TRUTH, noise=0.0, seed=1,
+         duration_interval=(1e20, 1.0))
+def test_simulate_flags_never_raise(tmp_path, capsys, profile, truth, noise, seed,
+                                    duration_interval):
+    duration, interval = duration_interval
+    argv = [
+        "simulate", f"--profile={profile}",
+        *(_flag(name, value) for name, value in zip(TRUTH_FLAGS, truth)),
+        _flag("noise-w", noise), _flag("seed", seed),
+        _flag("duration-s", duration), _flag("interval-s", interval),
+        f"--out-metrics={tmp_path / 'm.csv'}", f"--out-power={tmp_path / 'p.csv'}",
+    ]
+    _check_exit(argv, capsys)
+
+
+@PROPERTY
+@given(
+    kwh_per_day=FLOATS,
+    rate=FLOATS,
+    escalation=FLOATS,
+    months=MONTHS,
+    categories=st.lists(FLOATS, max_size=2),
+    as_json=st.booleans(),
+)
+@example(kwh_per_day=1.0, rate=1.0, escalation=0.0, months=12, categories=[1e308, 1e308],
+         as_json=False)
+def test_cost_flags_never_raise(capsys, kwh_per_day, rate, escalation, months, categories,
+                                as_json):
+    argv = [
+        "cost", _flag("kwh-per-day", kwh_per_day), _flag("rate", rate),
+        _flag("escalation", escalation), _flag("months", months),
+        *(f"--category=item {i}={cost!r}" for i, cost in enumerate(categories)),
+        *(["--json"] if as_json else []),
+    ]
+    _check_exit(argv, capsys)

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     gauss_solve,
@@ -177,6 +179,28 @@ def test_scale_equivariance():
         assert diag2.r_squared == pytest.approx(diag1.r_squared, rel=1e-10)
         assert np.allclose(diag2.t_stats, diag1.t_stats, rtol=1e-8)
         assert np.allclose(diag2.p_values, diag1.p_values, rtol=1e-6, atol=1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 400),
+    exponents=st.lists(st.floats(-8.0, 8.0), min_size=4, max_size=4),
+)
+def test_scale_equivariance_over_random_column_scalings(seed, n, exponents):
+    rng = np.random.default_rng(seed)
+    x = random_design(rng, n=n)
+    y = random_response(rng, x, sigma=1.5)
+    s = np.array([1.0] + [10.0**e for e in exponents])
+    beta1, diag1 = fit_ols(DesignMatrix(x=x, y=y))
+    beta2, diag2 = fit_ols(DesignMatrix(x=x * s, y=y))
+    assert beta2 * s == pytest.approx(beta1, rel=1e-8, abs=0.0)
+    assert (x * s) @ beta2 == pytest.approx(x @ beta1, rel=1e-8, abs=0.0)
+    assert np.array(diag2.std_errors) * s == pytest.approx(diag1.std_errors, rel=1e-8, abs=0.0)
+    assert diag2.t_stats == pytest.approx(diag1.t_stats, rel=1e-8, abs=0.0)
+    assert diag2.p_values == pytest.approx(diag1.p_values, rel=1e-6, abs=0.0)
+    assert diag2.r_squared == pytest.approx(diag1.r_squared, rel=0.0, abs=1e-12)
+    assert diag2.residual_sigma == pytest.approx(diag1.residual_sigma, rel=1e-10, abs=0.0)
 
 
 def test_shift_property():

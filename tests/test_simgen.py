@@ -27,6 +27,7 @@ from wattmodel import (
     train,
 )
 from wattmodel.cli import describe
+from wattmodel.simgen import MAX_SAMPLES
 
 FULL_RANK_PROFILES = ("diurnal", "bursty")
 
@@ -269,6 +270,27 @@ def test_config_validation():
     with pytest.raises(SimConfigError):
         SimConfig(truth=GroundTruth(math.inf, 0, 0, 0, 0), duration_s=600.0,
                   interval_s=60.0)
+
+
+def test_config_rejects_power_that_can_overflow():
+    # the bound is seed-free: every regressor at full scale, the largest noise draw
+    huge_net = GroundTruth(107.5, 124.9, 5.471e-06, 3.661e-02, 1e301)
+    opposed = GroundTruth(1e308, -1e308, 0.0, 0.0, 0.0)  # signs do not cancel in the bound
+    for seed in (0, 1, 42, 2**70 + 3):
+        for bad in (dict(noise=1e308), dict(truth=huge_net), dict(truth=opposed)):
+            with pytest.raises(SimConfigError, match="power overflows"):
+                config(seed=seed, **bad)
+        with pytest.warns(FloorWarning):  # still valid: floored, never infinite
+            _, power = generate(config(seed=seed, noise=1e307))
+        assert np.isfinite(power.power_w).all()
+
+
+def test_config_caps_the_sample_count():
+    assert MAX_SAMPLES == 365 * 86_400
+    config(duration=float(MAX_SAMPLES), interval=1.0)  # the cap itself is allowed
+    for duration in (MAX_SAMPLES + 1.0, 1e15, 1e20):
+        with pytest.raises(SimConfigError, match="overflows the 31,536,000 sample cap"):
+            config(duration=duration, interval=1.0)
 
 
 def test_describe_is_stable_and_complete():

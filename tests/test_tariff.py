@@ -192,6 +192,12 @@ def test_breakdown_validation():
         breakdown(math.nan, [])
 
 
+def test_breakdown_total_overflow_is_a_tariff_error():
+    # each cost is finite, their sum is not
+    with pytest.raises(TariffError, match="overflows"):
+        breakdown(1.0, [("a", 1e308), ("b", 1e308)])
+
+
 # --------------------------------------------------------------- rendering
 
 
