@@ -33,7 +33,7 @@ NET_SCALE = 4.0e8
 _SCALES = (CPU_SCALE, MEM_SCALE, DISK_SCALE, NET_SCALE)
 
 # The most samples one simulation makes: 365 days at 1 Hz. A larger count
-# would need more memory than a trace file is worth, or more than numpy can index.
+# would fail late, in a numpy allocation, instead of as a usage error.
 MAX_SAMPLES = 31_536_000
 
 # The largest |z| PortableRandom.gaussian returns: its Box-Muller radius at
