@@ -5,126 +5,24 @@ to paired utilization/power-meter traces, evaluates prediction accuracy,
 integrates watts into kWh, and projects multi-year cost under an
 escalating tariff. A synthetic trace generator with a portable seeded RNG
 closes the loop for testing.
+
+Each module's __all__ lists its public names; the package exports their union.
 """
 
-from .energy import (
-    EnergyError,
-    EnergyReport,
-    GapWarning,
-    integrate,
-    integrate_predicted,
-)
-from .powermodel import (
-    EvaluationReport,
-    ModelFormatError,
-    PowerModel,
-    evaluate,
-    load_model,
-    predict,
-    save_model,
-    train,
-)
-from .regression import (
-    COLUMN_NAMES,
-    DesignMatrix,
-    FitDiagnostics,
-    InsufficientDataError,
-    RankDeficiencyError,
-    RegressionError,
-    fit_ols,
-    student_t_sf,
-)
-from .simgen import (
-    PROFILES,
-    FloorWarning,
-    GroundTruth,
-    PortableRandom,
-    SimConfig,
-    SimConfigError,
-    generate,
-)
-from .tariff import (
-    BreakdownReport,
-    CategoryShare,
-    CostProjection,
-    Tariff,
-    TariffError,
-    YearCost,
-    breakdown,
-    project_cost,
-)
-from .trace import (
-    AlignedRow,
-    AlignedTrace,
-    AlignmentError,
-    AlignmentMeta,
-    MetricSample,
-    MetricTrace,
-    ParseError,
-    PowerSample,
-    PowerTrace,
-    TraceError,
-    align,
-    default_tolerance,
-    format_metrics,
-    format_power,
-    parse_metrics,
-    parse_power,
-)
+from .energy import *
+from .powermodel import *
+from .regression import *
+from .simgen import *
+from .tariff import *
+from .trace import *
+from . import energy, powermodel, regression, simgen, tariff, trace
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignedRow",
-    "AlignedTrace",
-    "AlignmentError",
-    "AlignmentMeta",
-    "BreakdownReport",
-    "CategoryShare",
-    "COLUMN_NAMES",
-    "CostProjection",
-    "DesignMatrix",
-    "EnergyError",
-    "EnergyReport",
-    "EvaluationReport",
-    "FitDiagnostics",
-    "FloorWarning",
-    "GapWarning",
-    "GroundTruth",
-    "InsufficientDataError",
-    "MetricSample",
-    "MetricTrace",
-    "ModelFormatError",
-    "ParseError",
-    "PortableRandom",
-    "PowerModel",
-    "PowerSample",
-    "PowerTrace",
-    "PROFILES",
-    "RankDeficiencyError",
-    "RegressionError",
-    "SimConfig",
-    "SimConfigError",
-    "Tariff",
-    "TariffError",
-    "TraceError",
-    "YearCost",
-    "align",
-    "breakdown",
-    "default_tolerance",
-    "evaluate",
-    "fit_ols",
-    "format_metrics",
-    "format_power",
-    "generate",
-    "integrate",
-    "integrate_predicted",
-    "load_model",
-    "parse_metrics",
-    "parse_power",
-    "predict",
-    "project_cost",
-    "save_model",
-    "student_t_sf",
-    "train",
-]
+__all__: list[str] = []
+__all__ += energy.__all__
+__all__ += powermodel.__all__
+__all__ += regression.__all__
+__all__ += simgen.__all__
+__all__ += tariff.__all__
+__all__ += trace.__all__

@@ -1,5 +1,5 @@
 """Allow `python -m wattmodel`."""
 
-from .cli import entrypoint
+from .cli import main
 
-entrypoint()
+raise SystemExit(main())

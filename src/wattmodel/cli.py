@@ -412,11 +412,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"wattmodel: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-def entrypoint() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -16,6 +16,14 @@ import numpy as np
 from .powermodel import PowerModel, predict
 from .trace import MetricTrace, PowerTrace, _median
 
+__all__ = [
+    "EnergyError",
+    "EnergyReport",
+    "GapWarning",
+    "integrate",
+    "integrate_predicted",
+]
+
 WATT_SECONDS_PER_KWH = 3_600_000.0
 SECONDS_PER_DAY = 86_400.0
 

@@ -22,6 +22,17 @@ import numpy as np
 from .regression import COLUMN_NAMES, DesignMatrix, FitDiagnostics, fit_ols
 from .trace import AlignedTrace, TraceError
 
+__all__ = [
+    "EvaluationReport",
+    "ModelFormatError",
+    "PowerModel",
+    "evaluate",
+    "load_model",
+    "predict",
+    "save_model",
+    "train",
+]
+
 
 class ModelFormatError(ValueError):
     """Model document is missing fields, mistyped, or violates invariants."""

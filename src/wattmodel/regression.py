@@ -18,6 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "COLUMN_NAMES",
+    "DesignMatrix",
+    "FitDiagnostics",
+    "InsufficientDataError",
+    "RankDeficiencyError",
+    "RegressionError",
+    "fit_ols",
+    "student_t_sf",
+]
+
 COLUMN_NAMES = ("intercept", "cpu", "mem", "disk", "net")
 
 # R diagonal below RANK_RTOL times the column norm flags the column as

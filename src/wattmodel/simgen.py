@@ -21,6 +21,16 @@ import numpy as np
 from .powermodel import predict
 from .trace import MetricTrace, PowerTrace
 
+__all__ = [
+    "PROFILES",
+    "FloorWarning",
+    "GroundTruth",
+    "PortableRandom",
+    "SimConfig",
+    "SimConfigError",
+    "generate",
+]
+
 PROFILES = ("idle", "constant", "diurnal", "bursty")
 
 # Full-scale regressor magnitudes the profiles swing over. cpu is a

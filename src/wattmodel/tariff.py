@@ -12,6 +12,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+__all__ = [
+    "BreakdownReport",
+    "CategoryShare",
+    "CostProjection",
+    "Tariff",
+    "TariffError",
+    "YearCost",
+    "breakdown",
+    "project_cost",
+]
+
 DAYS_PER_YEAR = 365.0
 MONTHS_PER_YEAR = 12
 # The longest horizon project_cost takes, 1,000 years: the schedule holds one

@@ -25,6 +25,26 @@ from typing import NamedTuple
 
 import numpy as np
 
+__all__ = [
+    "AlignedRow",
+    "AlignedTrace",
+    "AlignmentError",
+    "AlignmentMeta",
+    "MetricSample",
+    "MetricTrace",
+    "ParseError",
+    "PowerSample",
+    "PowerTrace",
+    "TraceError",
+    "align",
+    "default_tolerance",
+    "format_metrics",
+    "format_power",
+    "parse_metrics",
+    "parse_power",
+]
+
+
 class TraceError(ValueError):
     """Invalid trace data: malformed CSV, out-of-range field, bad ordering."""
 
