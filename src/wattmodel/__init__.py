@@ -5,8 +5,6 @@ to paired utilization/power-meter traces, evaluates prediction accuracy,
 integrates watts into kWh, and projects multi-year cost under an
 escalating tariff. A synthetic trace generator with a portable seeded RNG
 closes the loop for testing.
-
-Each module's __all__ lists its public names; the package exports their union.
 """
 
 from .energy import *

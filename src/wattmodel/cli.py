@@ -36,7 +36,7 @@ from .powermodel import (
     save_model,
     train,
 )
-from .regression import InsufficientDataError, RankDeficiencyError
+from .regression import RankDeficiencyError, RegressionError
 from .simgen import PROFILES, FloorWarning, GroundTruth, SimConfig, SimConfigError, generate
 from .tariff import MAX_HORIZON_MONTHS
 from .tariff import BreakdownReport, CostProjection, Tariff, TariffError, breakdown, project_cost
@@ -406,7 +406,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ModelFormatError,
         EnergyError,
         TariffError,
-        InsufficientDataError,
+        RegressionError,
         UnicodeDecodeError,
         OSError,
     ) as exc:

@@ -47,6 +47,9 @@ class EnergyReport:
 def _integrate_series(timestamps: np.ndarray, watts: np.ndarray) -> EnergyReport:
     if len(timestamps) < 2:
         raise EnergyError(f"need at least 2 samples to integrate, got {len(timestamps)}")
+    duration = float(timestamps[-1]) - float(timestamps[0])  # finite: _median(dt) cannot overflow
+    if not np.isfinite(duration):
+        raise EnergyError(f"timestamp span {timestamps[0]:.6g} to {timestamps[-1]:.6g} overflows")
     dt = np.diff(timestamps)
     median_dt = _median(dt)
     n_gaps = int((dt > 10.0 * median_dt).sum())
@@ -61,7 +64,6 @@ def _integrate_series(timestamps: np.ndarray, watts: np.ndarray) -> EnergyReport
         watt_seconds = float(((watts[:-1] + watts[1:]) * 0.5 * dt).sum())
     if not np.isfinite(watt_seconds):
         raise EnergyError(f"the energy integral overflows ({watt_seconds} W*s)")
-    duration = float(timestamps[-1] - timestamps[0])
     kwh = watt_seconds / WATT_SECONDS_PER_KWH
     return EnergyReport(
         kwh=kwh,

@@ -119,8 +119,14 @@ def fit_ols(design: DesignMatrix) -> tuple[np.ndarray, FitDiagnostics]:
     """
     n, p = design.x.shape
 
+    # dividing each column of [x | y] by the power of two at its largest magnitude
+    # is exact, and then no square or sum below overflows near the float range's ends
+    xy = np.column_stack([design.x, design.y])
+    exponent = np.frexp(np.maximum(xy.max(axis=0), -xy.min(axis=0)))[1] - 1
+    np.ldexp(xy, -exponent, out=xy)
+
     # R of [x | y]: R of x (whose columns keep x's norms), then Q'y over the residual norm
-    r_xy = np.linalg.qr(np.column_stack([design.x, design.y]), mode="r")
+    r_xy = np.linalg.qr(xy, mode="r")
     r, qty = r_xy[:p, :p], r_xy[:p, p]
     col_norms = np.sqrt((r * r).sum(axis=0))
     for j in range(p):
@@ -131,24 +137,30 @@ def fit_ols(design: DesignMatrix) -> tuple[np.ndarray, FitDiagnostics]:
     ssr = float(r_xy[p, p] ** 2)
     df = n - p
     sigma2 = ssr / df
-    residual_sigma = math.sqrt(sigma2)
 
     r_inv = np.linalg.inv(r)
     xtx_inv_diag = (r_inv * r_inv).sum(axis=1)
     std_errors = np.sqrt(sigma2 * xtx_inv_diag)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(
-            std_errors > 0.0,
-            beta / std_errors,
-            np.where(beta == 0.0, 0.0, np.sign(beta) * np.inf),
-        )
+    with np.errstate(all="ignore"):  # a zero standard error gives t = ±inf, or 0 where beta = 0
+        t_stats = beta / std_errors
+    t_stats[np.isnan(t_stats)] = 0.0
     p_values = tuple(student_t_sf(float(t), df) for t in t_stats)
 
     # column 0 is all ones, so (Q'y)[0]**2 = n * mean(y)**2 and the rest of
     # the last column sums to the squares about the mean; ssr is one term
     sst = float((r_xy[1:, p] ** 2).sum())
     r_squared = 1.0 - ssr / sst if sst else 1.0
+
+    # back to the data's units: beta_j and its standard error scale by 2**(e_y - e_j)
+    with np.errstate(over="ignore"):
+        beta, std_errors = np.ldexp([beta, std_errors], exponent[p] - exponent[:p])
+        residual_sigma = float(np.ldexp(math.sqrt(sigma2), exponent[p]))
+    for name, finite in zip(COLUMN_NAMES, np.isfinite(beta) & np.isfinite(std_errors)):
+        if not finite:
+            raise RegressionError(f"the fit for column {name!r} is outside the float range")
+    if not math.isfinite(residual_sigma):
+        raise RegressionError("the residual sigma is outside the float range")
 
     diagnostics = FitDiagnostics(
         r_squared=r_squared,

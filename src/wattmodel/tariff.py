@@ -96,8 +96,9 @@ def project_cost(kwh_per_day: float, tariff: Tariff, horizon_months: int) -> Cos
             rate = math.inf
         kwh = kwh_per_day * days
         cost = kwh * rate
-        if not math.isfinite(cost):
-            raise TariffError(f"cost overflows in year {year}: rate {rate:.6g} on {kwh:.6g} kWh")
+        if not 0.0 < cost < math.inf:
+            how = "underflows to zero" if cost == 0.0 else "overflows"
+            raise TariffError(f"cost {how} in year {year}: rate {rate:.6g} on {kwh:.6g} kWh")
         yearly.append(YearCost(year_index=year, kwh=kwh, rate_used=rate, cost=cost))
         days_left -= days
         year += 1

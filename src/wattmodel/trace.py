@@ -238,12 +238,13 @@ class AlignedTrace(_Columns):
 
 
 def _floats(lines: list[str], width: int):
-    """Every field of every non-blank line, converted by float().
+    """Every field of every non-blank line, stripped as _line_fault strips it, by float().
 
     A field float() rejects reads as NaN, and a line of the wrong width as a
     row of NaNs, which the trace constructor rejects as non-finite.
     """
     for line in lines:
+        line = line.strip()
         fields = line.split(",")
         if len(fields) == width:
             for raw in fields:
@@ -251,7 +252,7 @@ def _floats(lines: list[str], width: int):
                     yield float(raw)
                 except ValueError:
                     yield math.nan
-        elif line.strip():
+        elif line:
             yield from itertools.repeat(math.nan, width)
 
 
@@ -328,7 +329,11 @@ def default_tolerance(metrics) -> float:
     metrics = MetricTrace.of(metrics)
     if len(metrics) < 2:
         raise TraceError("need at least 2 metric samples to derive a tolerance")
-    return _median(np.diff(metrics.timestamp)) / 2.0
+    stamps = metrics.timestamp
+    # a finite span bounds every interval and the sum of any two, so the median cannot overflow
+    if not math.isfinite(float(stamps[-1]) - float(stamps[0])):
+        raise TraceError(f"timestamp span {stamps[0]:.6g} to {stamps[-1]:.6g} overflows")
+    return _median(np.diff(stamps)) / 2.0
 
 
 def _median(values: np.ndarray) -> float:
@@ -354,8 +359,9 @@ def align(metrics, power, tolerance_s: float) -> AlignedTrace:
     # power timestamps padded so every metric sample has a neighbour each side
     padded = np.concatenate(([-np.inf], power.timestamp, [np.inf]))
     after = np.searchsorted(power.timestamp, stamps)  # first power sample at or after
-    earlier_gap = stamps - padded[after]
-    later_gap = padded[after + 1] - stamps
+    with np.errstate(over="ignore"):  # a gap past the float range is past any tolerance
+        earlier_gap = stamps - padded[after]
+        later_gap = padded[after + 1] - stamps
     take_earlier = earlier_gap <= later_gap
     nearest = np.where(take_earlier, after - 1, after)
     keep = np.where(take_earlier, earlier_gap, later_gap) <= tolerance_s

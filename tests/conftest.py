@@ -1,5 +1,7 @@
 """Shared test fixtures and small builders."""
 
+import json
+
 import pytest
 
 from wattmodel import (
@@ -54,6 +56,15 @@ def exact_model(alpha, beta_cpu=0.0, beta_mem=0.0, beta_disk=0.0, beta_net=0.0):
         hardware_id="bench",
         created_at=0.0,
     )
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, which are not JSON."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.fixture

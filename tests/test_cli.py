@@ -8,10 +8,11 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wattmodel
-from conftest import REF_TRUTH, exact_model
+from conftest import REF_TRUTH, exact_model, strict_json
 from wattmodel import (
     SimConfig,
     format_metrics,
@@ -238,6 +239,40 @@ def test_energy_overflow_is_data_error(tmp_path, capsys):
     assert err.startswith("wattmodel: data error: the energy integral overflows")
 
 
+def write_rows(path, header, rows):
+    path.write_text(header + "\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    return str(path)
+
+
+def test_timestamps_spanning_past_the_float_range_are_data_errors(tmp_path, capsys):
+    wide = write_rows(tmp_path / "wide.csv", POWER_HEADER,
+                      ["-1e308,1e-10", "0,1e-10", "1e308,1e-10"])
+    widest = write_rows(tmp_path / "widest.csv", POWER_HEADER, ["-1.7e308,100", "1.7e308,100"])
+    widest_metrics = write_rows(tmp_path / "widest_m.csv", METRICS_HEADER,
+                                ["-1.7e308,0.1,1,1,1", "1.7e308,0.2,2,1,1"])
+    high_metrics = write_rows(tmp_path / "high_m.csv", METRICS_HEADER,
+                              ["1.6e308,0.1,1,1,1", "1.7e308,0.2,2,1,1"])
+    low_power = write_rows(tmp_path / "low.csv", POWER_HEADER, ["-1.7e308,100", "-1.6e308,110"])
+    model_out = str(tmp_path / "model.json")
+    cases = [
+        (["energy", "--power", wide],
+         "timestamp span -1e+308 to 1e+308 overflows"),
+        (["energy", "--power", widest],
+         "timestamp span -1.7e+308 to 1.7e+308 overflows"),
+        (["fit", "--metrics", widest_metrics, "--power", widest, "--out", model_out],
+         "timestamp span -1.7e+308 to 1.7e+308 overflows"),
+        # the gap between the two streams overflows: it is past any tolerance
+        (["fit", "--metrics", high_metrics, "--power", low_power, "--out", model_out],
+         "no metric sample found a power sample within"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Warning" not in err
+        assert err.splitlines()[-1].startswith(f"wattmodel: data error: {message}")
+
+
 def test_energy_flag_combinations_are_usage_errors(tmp_path):
     model_path, metrics_path, power_path = fit_model_file(tmp_path)
     assert main(["energy"]) == 1
@@ -308,6 +343,17 @@ def test_cost_overflow_is_data_error(capsys):
                  "--escalation", "1e200", "--months", "48"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("wattmodel: data error: cost overflows in year 2")
+
+
+def test_cost_underflow_is_data_error(capsys):
+    # both flags are positive, but every year's cost underflows to 0.0
+    for flags in (["--kwh-per-day", "1e-320", "--rate", "1e-320"],
+                  ["--kwh-per-day", "1e-200", "--rate", "1e-200", "--category", "a=5"]):
+        assert main(["cost", *flags, "--months", "12"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("wattmodel: data error: cost underflows to zero in year 0")
+        assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------- simulate
@@ -484,6 +530,57 @@ def test_rank_deficiency_exits_3(tmp_path, capsys):
                "--out", str(tmp_path / "m.json")])
     assert rc == 3
     assert "cpu" in capsys.readouterr().err
+
+
+def write_extreme_traces(tmp_path, mem, power):
+    """50 rows a minute apart: random cpu, disk and net; mem and power from (u, cpu)."""
+    rng = np.random.default_rng(0)
+    n = 50
+    t = np.arange(n) * 60.0
+    cpu, disk, net, u = (rng.uniform(0.0, high, n) for high in (1.0, 400.0, 4e8, 1.0))
+    metrics_path, power_path = tmp_path / "metrics.csv", tmp_path / "power.csv"
+    metrics_path.write_text(format_metrics(np.column_stack([t, cpu, mem(u, cpu), disk, net])),
+                            encoding="utf-8")
+    power_path.write_text(format_power(np.column_stack([t, power(u, cpu)])), encoding="utf-8")
+    return str(metrics_path), str(power_path)
+
+
+def metered(u, cpu):
+    return 100.0 + 50.0 * cpu + u
+
+
+# (mem, power) near the ends of the float range; fit scales each column first
+EXTREME_FITS = {
+    "mem near 1e200": (lambda u, cpu: (0.1 + 0.9 * u) * 1e200, metered),
+    "mem near the float max": (lambda u, cpu: 1e307 + u * 1.4e308, metered),
+    "power near 1e202": (lambda u, cpu: 4e6 * u, lambda u, cpu: 1e202 * (1 + 0.5 * cpu + 0.01 * u)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_FITS))
+def test_fit_near_the_ends_of_the_float_range(tmp_path, capsys, case):
+    metrics_path, power_path = write_extreme_traces(tmp_path, *EXTREME_FITS[case])
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--metrics", metrics_path, "--power", power_path,
+                 "--out", str(model_path)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    diagnostics = strict_json(model_path.read_text(encoding="utf-8"))["diagnostics"]
+    assert 0.9 < diagnostics["r_squared"] <= 1.0
+    assert main(["evaluate", "--model", str(model_path),
+                 "--metrics", metrics_path, "--power", power_path]) == 0
+    assert strict_json(capsys.readouterr().out)["accuracy"] > 90.0
+
+
+def test_fit_past_the_float_range_is_data_error(tmp_path, capsys):
+    # beta_mem would be about 1e600
+    metrics_path, power_path = write_extreme_traces(
+        tmp_path, lambda u, cpu: u * 1e-300, lambda u, cpu: 1e300 * (1 + u))
+    assert main(["fit", "--metrics", metrics_path, "--power", power_path,
+                 "--out", str(tmp_path / "model.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "wattmodel: data error: the fit for column 'mem' is outside the float range")
 
 
 def test_bad_tolerance_is_usage_error(tmp_path, capsys):

@@ -1,11 +1,13 @@
-"""Property tests: no flag value makes a command raise instead of exiting 0, 1 or 2."""
+"""Property tests: no flag value or trace value makes a command raise instead of exiting."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from wattmodel import PROFILES
 from wattmodel.cli import main
 from wattmodel.simgen import MAX_SAMPLES
@@ -92,6 +94,10 @@ def test_simulate_flags_never_raise(tmp_path, capsys, profile, truth, noise, see
 )
 @example(kwh_per_day=1.0, rate=1.0, escalation=0.0, months=12, categories=[1e308, 1e308],
          as_json=False)
+@example(kwh_per_day=1e-320, rate=1e-320, escalation=0.0, months=12, categories=[],
+         as_json=False)
+@example(kwh_per_day=1e-200, rate=1e-200, escalation=0.0, months=12, categories=[5.0],
+         as_json=True)
 def test_cost_flags_never_raise(capsys, kwh_per_day, rate, escalation, months, categories,
                                 as_json):
     argv = [
@@ -101,3 +107,61 @@ def test_cost_flags_never_raise(capsys, kwh_per_day, rate, escalation, months, c
         *(["--json"] if as_json else []),
     ]
     _check_exit(argv, capsys)
+
+
+# zero, the smallest subnormal, tiny, one, huge and near-overflow values
+MAGNITUDES = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308)
+SIGNED = MAGNITUDES + tuple(-v for v in MAGNITUDES[1:])
+GOLDEN_MODEL = Path(__file__).parent / "golden" / "model.json"
+
+
+# half the draws have enough rows to fit
+STAMPS = st.one_of(st.sets(st.sampled_from(SIGNED), min_size=6), st.sets(st.sampled_from(SIGNED)))
+
+
+def _csv(draw, header, stamps, columns) -> str:
+    """CSV text: one row per timestamp, each column's value drawn from its choices."""
+    rows = [[t, *(draw(st.sampled_from(choices)) for choices in columns)] for t in stamps]
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+@st.composite
+def trace_pair(draw):
+    """Metrics and power CSV text on one shared grid or on two grids."""
+    metric_stamps = sorted(draw(STAMPS))
+    power_stamps = draw(st.one_of(st.just(metric_stamps), STAMPS.map(sorted)))
+    metrics = _csv(draw, "timestamp,cpu,mem,disk,net", metric_stamps,
+                   [MAGNITUDES[:4], MAGNITUDES, MAGNITUDES, MAGNITUDES])
+    return metrics, _csv(draw, "timestamp,power_w", power_stamps, [MAGNITUDES[1:]])
+
+
+def _check_data_command(argv, capsys) -> int:
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err and "RuntimeWarning" not in err, err
+    if code == 0 and argv[0] != "fit":
+        strict_json(out)
+    return code
+
+
+@PROPERTY
+@given(traces=trace_pair())
+def test_data_commands_never_raise(tmp_path, capsys, traces):
+    metrics, power = traces
+    metrics_path, power_path = tmp_path / "m.csv", tmp_path / "p.csv"
+    metrics_path.write_text(metrics, encoding="utf-8")
+    power_path.write_text(power, encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    if _check_data_command(["fit", f"--metrics={metrics_path}", f"--power={power_path}",
+                            f"--out={model_path}"], capsys) == 0:
+        strict_json(model_path.read_text(encoding="utf-8"))
+    else:
+        model_path = GOLDEN_MODEL
+    for argv in (
+        ["evaluate", f"--model={model_path}", f"--metrics={metrics_path}",
+         f"--power={power_path}"],
+        ["energy", f"--power={power_path}"],
+        ["energy", f"--model={model_path}", f"--metrics={metrics_path}"],
+    ):
+        _check_data_command(argv, capsys)

@@ -84,7 +84,7 @@ def bodies(draw, fields):
         elif kind == "underscore" and row:
             row[j] = draw(st.sampled_from(("1_000", "0_1", "1__0")))
         elif kind == "pad" and row:
-            row[j] = draw(st.sampled_from((" ", "\t", "  "))) + row[j] + " "
+            row[j] = draw(st.sampled_from((" ", "\t", "  ", "\x1f"))) + row[j] + " "
     lines = [",".join(row) for row in rows]
     for i in sorted(blanks, reverse=True):
         lines.insert(i, draw(st.sampled_from(("", "   ", "\t"))))
@@ -124,3 +124,11 @@ def test_parse_empty_body_agrees_with_oracle():
                                   (parse_power, oracle_parse_power, POWER_FIELDS)):
         for text in (",".join(fields) + "\n", ",".join(fields), ""):
             assert_same_outcome(parse, oracle, fields, text)
+
+
+def test_unit_separator_padding_agrees_with_oracle():
+    # str.strip() removes "\x1f" and float() does not; the pad fault above reaches
+    # a line-leading "\x1f" in about one draw of 200, so it is pinned here too
+    for body in ("1,2\x1f", "\x1f1,2", "\x1f1,2\x1f\n3,4"):
+        text = ",".join(POWER_FIELDS) + "\n" + body
+        assert_same_outcome(parse_power, oracle_parse_power, POWER_FIELDS, text)

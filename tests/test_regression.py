@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -201,6 +201,39 @@ def test_scale_equivariance_over_random_column_scalings(seed, n, exponents):
     assert diag2.p_values == pytest.approx(diag1.p_values, rel=1e-6, abs=0.0)
     assert diag2.r_squared == pytest.approx(diag1.r_squared, rel=0.0, abs=1e-12)
     assert diag2.residual_sigma == pytest.approx(diag1.residual_sigma, rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 200),
+    exponents=st.lists(st.integers(-1000, 1000), min_size=5, max_size=5),
+)
+def test_power_of_two_scalings_are_exact(seed, n, exponents):
+    # columns scaled by 2**k across the whole float range: every statistic
+    # is the unscaled one, exactly, wherever the data and the fit stay normal
+    rng = np.random.default_rng(seed)
+    x = random_design(rng, n=n)
+    y = random_response(rng, x, sigma=1.5)
+    k_x, k_y = np.array([0] + exponents[:4]), exponents[4]
+    beta1, diag1 = fit_ols(DesignMatrix(x=x, y=y))
+    with np.errstate(over="ignore"):
+        want_beta = np.ldexp(beta1, k_y - k_x)
+        want_se = np.ldexp(diag1.std_errors, k_y - k_x)
+        want_sigma = np.ldexp(diag1.residual_sigma, k_y)
+        x2, y2 = np.ldexp(x, k_x), np.ldexp(y, k_y)
+    smallest = np.finfo(float).tiny
+    assume(all(
+        np.isfinite(v).all() and (np.abs(v) >= smallest).all()
+        for v in (x2, y2, want_beta, want_se, want_sigma)
+    ))
+    beta2, diag2 = fit_ols(DesignMatrix(x=x2, y=y2))
+    assert beta2.tolist() == want_beta.tolist()
+    assert diag2.std_errors == tuple(want_se.tolist())
+    assert diag2.residual_sigma == want_sigma
+    assert diag2.t_stats == diag1.t_stats
+    assert diag2.p_values == diag1.p_values
+    assert diag2.r_squared == diag1.r_squared
 
 
 def test_shift_property():

@@ -120,6 +120,16 @@ def test_projection_overflow_is_a_tariff_error():
         project_cost(1e305, Tariff(2.0), 48)
 
 
+def test_projection_underflow_is_a_tariff_error():
+    # positive flags whose product underflows: a zero cost would be billed as free
+    with pytest.raises(TariffError, match="underflows to zero in year 0"):
+        project_cost(1e-320, Tariff(1e-320), 12)
+    with pytest.raises(TariffError, match="underflows to zero in year 0"):
+        project_cost(1e-200, Tariff(1e-200), 12)
+    # a subnormal cost that is not zero is still a cost
+    assert project_cost(1e-200, Tariff(1e-110), 12).total_cost > 0.0
+
+
 def test_horizon_is_capped_at_a_thousand_years():
     # one YearCost per year: an unbounded horizon would grow until memory ran out
     assert MAX_HORIZON_MONTHS == 12_000
