@@ -6,7 +6,8 @@ of that pair with `created_at` set to 0). The `cost` tables and JSON, the
 `simulate` summary text and the `simulate` CSVs of all four profiles are
 pinned too. Any change in number formatting, random stream, alignment or
 arithmetic order changes a hash. `fit` itself is compared field by field,
-since its last bits depend on the QR routine.
+since its last bits depend on the QR routine. The `--help` text of the top
+level and of each command is pinned at 80 columns.
 """
 
 import hashlib
@@ -44,6 +45,16 @@ GOLDEN_SHA256 = {
     "idle_power.csv": "ec4ea2ca6e672fa67943ffcc6314c5fc66cc013f20ce30a579739adc9b1f2763",
     "constant_metrics.csv": "93dfc9da240cfac7a7db8b544ae6a04e27f280e0587a27afada4986a0902e0d7",
     "constant_power.csv": "88fc19103c23d9464e7a39f0e3fbea9730d5ccb4c3bf7f78b4b325b93148eaee",
+}
+
+HELP_SHA256 = {
+    "wattmodel": "f020ccc372bd9b681c7df3b98b48ef8d7efa6ef0ca0a0cc3c1b2bbb4c52bd614",
+    "fit": "c9574830a4225038f0484cd69dbec66c6996f5baf88d6a875c7787129705e3cf",
+    "predict": "1b73c8b1443ab5258bf11d1b0ccf25b7834325b10c3e394df93f1d1964f87c68",
+    "evaluate": "4b6b6b8e3622ae07a85eabc76e38d4302daf57c60e19d05780aca930e4df63ab",
+    "energy": "9f3172252616d378494374a75b41ce1de17f8dafe20ddc157bff35d80183a5f8",
+    "cost": "81714539e95cd5a111e28851c58b3d11c7118dff2c61e299e3d05e036579bb65",
+    "simulate": "748214c63552c148cde361ed17f3355c20eebcb43d741807f8e7b212b3d684af",
 }
 
 
@@ -116,3 +127,13 @@ def test_fit_matches_golden_model(tmp_path, capsys):
 def test_golden_model_round_trips_byte_for_byte():
     text = GOLDEN_MODEL.read_text(encoding="utf-8")
     assert save_model(load_model(text)) == text
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_text_is_byte_identical(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "wattmodel" else [command, "--help"]
+    assert cli_main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
