@@ -149,7 +149,7 @@ def _aligned(args) -> AlignedTrace:
     return aligned
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     model = train(_aligned(args), hardware_id=args.hardware_id)
     document = save_model(model)
     Path(args.out).write_text(document, encoding="utf-8")
@@ -163,10 +163,9 @@ def cmd_fit(args) -> int:
             f"\nR-squared {d.r_squared:.6g}   residual sigma {d.residual_sigma:.6g} W"
             f"   n {d.n_samples}   df {d.df}"
         )
-    return EXIT_OK
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     model = load_model(_read_text(args.model))
     metrics = parse_metrics(_read_text(args.metrics))
     if not metrics:
@@ -174,16 +173,14 @@ def cmd_predict(args) -> int:
     rows = np.column_stack([metrics.timestamp, predict(model, metrics)])
     Path(args.out).write_text(format_csv("timestamp,predicted_power_w", rows), encoding="utf-8")
     print(f"{len(metrics)} predictions written to {args.out}", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     model = load_model(_read_text(args.model))
     _print_json(dataclasses.asdict(evaluate(model, _aligned(args))))
-    return EXIT_OK
 
 
-def cmd_energy(args) -> int:
+def cmd_energy(args) -> None:
     have_power = args.power is not None
     have_model = args.model is not None or args.metrics is not None
     if have_power == have_model:
@@ -197,7 +194,6 @@ def cmd_energy(args) -> int:
         metrics = parse_metrics(_read_text(args.metrics))
         report = integrate_predicted(model, metrics)
     _print_json(dataclasses.asdict(report))
-    return EXIT_OK
 
 
 def _parse_category(raw: str) -> tuple[str, float]:
@@ -234,7 +230,7 @@ def render_breakdown_text(report: BreakdownReport, currency: str) -> str:
     return _render_table(header, rows)
 
 
-def cmd_cost(args) -> int:
+def cmd_cost(args) -> None:
     if not math.isfinite(args.kwh_per_day) or args.kwh_per_day <= 0:
         raise UsageError(f"--kwh-per-day must be > 0, got {args.kwh_per_day}")
     if not math.isfinite(args.rate) or args.rate <= 0:
@@ -259,7 +255,6 @@ def cmd_cost(args) -> int:
         _print_table(render_projection_text(projection, args.currency))
         print()
         _print_table(render_breakdown_text(report, args.currency))
-    return EXIT_OK
 
 
 def describe(config: SimConfig) -> str:
@@ -286,7 +281,7 @@ def _from_flags(cls, args, **given):
     return cls(**given, **flags)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     config = _from_flags(SimConfig, args, truth=_from_flags(GroundTruth, args))
     metrics, power = generate(config)
     Path(args.out_metrics).write_text(format_metrics(metrics), encoding="utf-8")
@@ -305,7 +300,6 @@ def cmd_simulate(args) -> int:
         })
     else:
         print(describe(config))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train server power models from utilization and meter "
         "traces, predict watts, and project energy cost.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("fit", help="fit a power model from metric and power CSVs")
     p.add_argument("--metrics", required=True, help="metrics CSV path")
@@ -379,22 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; this tool reserves 2 for data errors
         return EXIT_USAGE if exc.code else EXIT_OK
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             # the tool's own warnings are diagnostics, whatever -W or PYTHONWARNINGS say
             for category in (GapWarning, FloorWarning):
                 warnings.simplefilter("default", category)
-            return args.func(args)
+            args.func(args)
     except (UsageError, SimConfigError) as exc:
         print(f"wattmodel: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -412,3 +402,4 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"wattmodel: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .powermodel import PowerModel, predict
-from .trace import MetricTrace, PowerTrace, _median
+from .trace import MetricTrace, PowerTrace, median_interval
 
 __all__ = [
     "EnergyError",
@@ -47,11 +47,9 @@ class EnergyReport:
 def _integrate_series(timestamps: np.ndarray, watts: np.ndarray) -> EnergyReport:
     if len(timestamps) < 2:
         raise EnergyError(f"need at least 2 samples to integrate, got {len(timestamps)}")
-    duration = float(timestamps[-1]) - float(timestamps[0])  # finite: _median(dt) cannot overflow
-    if not np.isfinite(duration):
-        raise EnergyError(f"timestamp span {timestamps[0]:.6g} to {timestamps[-1]:.6g} overflows")
+    median_dt = median_interval(timestamps)  # a span past the float range raises TraceError
+    duration = float(timestamps[-1]) - float(timestamps[0])
     dt = np.diff(timestamps)
-    median_dt = _median(dt)
     n_gaps = int((dt > 10.0 * median_dt).sum())
     if n_gaps:
         warnings.warn(

@@ -105,10 +105,7 @@ class DesignMatrix:
 
     @classmethod
     def from_regressors(cls, cpu, mem, disk, net, power) -> "DesignMatrix":
-        cols = [np.asarray(c, dtype=float) for c in (cpu, mem, disk, net)]
-        y = np.asarray(power, dtype=float)
-        x = np.column_stack([np.ones(len(y))] + cols)
-        return cls(x=x, y=y)
+        return cls(x=np.column_stack([np.ones(len(power)), cpu, mem, disk, net]), y=power)
 
 
 def fit_ols(design: DesignMatrix) -> tuple[np.ndarray, FitDiagnostics]:

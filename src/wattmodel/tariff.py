@@ -122,8 +122,6 @@ def breakdown(
     Categories come back sorted by descending cost (ties keep input order,
     energy last).
     """
-    if not math.isfinite(energy_cost) or energy_cost < 0.0:
-        raise TariffError(f"energy cost must be >= 0, got {energy_cost}")
     entries = list(other_categories) + [(ENERGY_CATEGORY_LABEL, energy_cost)]
     for label, cost in entries:
         if not math.isfinite(cost) or cost < 0.0:

@@ -329,11 +329,17 @@ def default_tolerance(metrics) -> float:
     metrics = MetricTrace.of(metrics)
     if len(metrics) < 2:
         raise TraceError("need at least 2 metric samples to derive a tolerance")
-    stamps = metrics.timestamp
-    # a finite span bounds every interval and the sum of any two, so the median cannot overflow
-    if not math.isfinite(float(stamps[-1]) - float(stamps[0])):
-        raise TraceError(f"timestamp span {stamps[0]:.6g} to {stamps[-1]:.6g} overflows")
-    return _median(np.diff(stamps)) / 2.0
+    return median_interval(metrics.timestamp) / 2.0
+
+
+def median_interval(timestamps: np.ndarray) -> float:
+    """Exact median interval of 2+ increasing timestamps; TraceError if their span overflows.
+
+    A finite span bounds every interval and the sum of any two, so the median cannot overflow.
+    """
+    if not math.isfinite(float(timestamps[-1]) - float(timestamps[0])):
+        raise TraceError(f"timestamp span {timestamps[0]:.6g} to {timestamps[-1]:.6g} overflows")
+    return _median(np.diff(timestamps))
 
 
 def _median(values: np.ndarray) -> float:
