@@ -130,14 +130,14 @@ def _aligned(args) -> AlignedTrace:
     Without --tolerance-s the default is derived from the metrics and
     echoed; metric samples left without a power sample are counted.
     """
+    tolerance = args.tolerance_s
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
+        raise UsageError(f"--tolerance-s must be > 0, got {tolerance}")
     metrics = parse_metrics(_read_text(args.metrics))
     power = parse_power(_read_text(args.power))
-    tolerance = args.tolerance_s
     if tolerance is None:
         tolerance = default_tolerance(metrics)
         print(f"tolerance_s = {tolerance:.6g} (half the median metric interval)", file=sys.stderr)
-    elif not math.isfinite(tolerance) or tolerance <= 0:
-        raise UsageError(f"--tolerance-s must be > 0, got {tolerance}")
     aligned = align(metrics, power, tolerance)
     meta = aligned.source_meta
     if meta.n_dropped:

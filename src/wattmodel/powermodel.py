@@ -96,11 +96,17 @@ def predict(model: PowerModel, sample):
 def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
     """MAPE of predictions against metered power; accuracy = 100 - MAPE."""
     if not len(trace):
-        raise ValueError("cannot evaluate on an empty trace")
+        raise TraceError("cannot evaluate on an empty trace")
     with np.errstate(over="ignore"):
         errors = np.abs(predict(model, trace) - trace.power_w)
-        mape = 100.0 * float(np.mean(errors / trace.power_w))
+        relative = errors / trace.power_w
+        mape = 100.0 * float(np.mean(relative))
     if not math.isfinite(mape):
+        overflowed = np.isinf(errors)
+        if overflowed.any():
+            raise TraceError(f"the prediction error for row {int(overflowed.argmax())} overflows")
+        if np.isfinite(relative).all():
+            raise TraceError("MAPE is not finite; the sum of the percent errors overflows")
         raise TraceError(f"MAPE is not finite; the smallest power_w is {trace.power_w.min():.6g} W")
     return EvaluationReport(
         mape=mape,

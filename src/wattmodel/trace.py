@@ -329,7 +329,10 @@ def default_tolerance(metrics) -> float:
     metrics = MetricTrace.of(metrics)
     if len(metrics) < 2:
         raise TraceError("need at least 2 metric samples to derive a tolerance")
-    return median_interval(metrics.timestamp) / 2.0
+    median = median_interval(metrics.timestamp)
+    if median / 2.0 == 0.0:
+        raise TraceError(f"half the median metric interval {median:.6g} s rounds to 0")
+    return median / 2.0
 
 
 def median_interval(timestamps: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from wattmodel.cli import main
 
 METRICS_HEADER = "timestamp,cpu,mem,disk,net"
 POWER_HEADER = "timestamp,power_w"
+GOLDEN_MODEL = Path(__file__).parent / "golden" / "model.json"
 
 
 def write_traces(tmp_path, noise=0.0, seed=1, profile="bursty", n=240):
@@ -326,6 +327,10 @@ def test_cost_flag_validation(capsys):
     assert main(["cost", "--kwh-per-day", "15.73", "--rate", "0.14",
                  "--months", "12", "--category", "X=-5"]) == 1
     assert "error" in capsys.readouterr().err
+    assert main(["cost", "--kwh-per-day", "15.73", "--rate", "0.14",
+                 "--months", "12", "--category", "a=x"]) == 1
+    assert capsys.readouterr().err == (
+        "wattmodel: error: --category 'a=x': cost 'x' is not a number\n")
 
 
 def test_cost_horizon_past_a_thousand_years_is_usage_error(capsys):
@@ -514,6 +519,32 @@ def test_evaluate_subnormal_power_is_data_error(tmp_path, capsys):
     )
 
 
+# (alpha, power_w, message): the model predicts alpha on every row of a two-row trace
+MAPE_OVERFLOWS = {
+    "error": (-1.7e308, 1.7e308, "the prediction error for row 0 overflows"),
+    "sum": (1.7e308, 1.0, "MAPE is not finite; the sum of the percent errors overflows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAPE_OVERFLOWS))
+def test_evaluate_names_why_the_mape_overflows(tmp_path, capsys, case):
+    alpha, power_w, message = MAPE_OVERFLOWS[case]
+    doc = json.loads(GOLDEN_MODEL.read_text())
+    doc.update(alpha=alpha, beta_cpu=0.0, beta_mem=0.0, beta_disk=0.0, beta_net=0.0)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    metrics_path, power_path = tmp_path / "metrics.csv", tmp_path / "power.csv"
+    metrics_path.write_text(f"{METRICS_HEADER}\n0,0.5,1,1,1\n60,0.5,1,1,1\n", encoding="utf-8")
+    power_path.write_text(f"{POWER_HEADER}\n0,{power_w!r}\n60,{power_w!r}\n", encoding="utf-8")
+    rc = main(["evaluate", "--model", str(model_path),
+               "--metrics", str(metrics_path), "--power", str(power_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"\nwattmodel: data error: {message}\n")
+    assert "warning" not in err
+
+
 def test_corrupt_model_exits_2(tmp_path, capsys):
     bad_model = tmp_path / "model.json"
     bad_model.write_text('{"alpha": 1.0}', encoding="utf-8")
@@ -589,6 +620,39 @@ def test_bad_tolerance_is_usage_error(tmp_path, capsys):
                "--out", str(tmp_path / "m.json"), "--tolerance-s", "-1"])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_bad_tolerance_is_checked_before_reading_files(tmp_path, capsys, command):
+    argv = [command, "--metrics", str(tmp_path / "missing.csv"),
+            "--power", str(tmp_path / "missing.csv"), "--tolerance-s", "nan"]
+    if command == "fit":
+        argv += ["--out", str(tmp_path / "m.json")]
+    else:
+        argv += ["--model", str(GOLDEN_MODEL)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "wattmodel: error: --tolerance-s must be > 0, got nan\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_subnormal_median_interval_is_data_error(tmp_path, capsys, command):
+    # half of a 5e-324 s interval rounds to 0 s, which is no tolerance at all
+    metrics_path, power_path = tmp_path / "metrics.csv", tmp_path / "power.csv"
+    stamps = ("0", "5e-324", "1e-323")
+    metrics_path.write_text(
+        METRICS_HEADER + "\n" + "".join(f"{t},0.5,1,1,1\n" for t in stamps), encoding="utf-8")
+    power_path.write_text(
+        POWER_HEADER + "\n" + "".join(f"{t},100\n" for t in stamps), encoding="utf-8")
+    argv = [command, "--metrics", str(metrics_path), "--power", str(power_path)]
+    if command == "fit":
+        argv += ["--out", str(tmp_path / "m.json")]
+    else:
+        argv += ["--model", str(GOLDEN_MODEL)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "wattmodel: data error: half the median metric interval 4.94066e-324 s rounds to 0\n")
 
 
 # ------------------------------------------------------------ process level
@@ -671,3 +735,14 @@ def test_styling_gate(monkeypatch):
     assert cli._styling_enabled()
     monkeypatch.setenv("WATT_NO_COLOR", "1")
     assert not cli._styling_enabled()
+
+
+def test_styled_tables_bold_only_their_header_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True, raising=False)
+    monkeypatch.delenv("WATT_NO_COLOR", raising=False)
+    assert main(["cost", "--kwh-per-day", "1", "--rate", "0.1", "--months", "12"]) == 0
+    styled = [line for line in capsys.readouterr().out.splitlines() if "\033" in line]
+    assert styled == [
+        "\033[1mYear   kWh     Rate ($/kWh)  Cost ($)\033[0m",
+        "\033[1mCategory      Cost ($)  Percent\033[0m",
+    ]

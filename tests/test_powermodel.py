@@ -151,6 +151,12 @@ def test_evaluate_rejects_empty_trace():
         evaluate(exact_model(1.0), trace)
 
 
+def test_evaluate_empty_trace_is_trace_error():
+    trace = make_trace(cpu=[], mem=[], disk=[], net=[], power=[])
+    with pytest.raises(TraceError, match="empty trace"):
+        evaluate(exact_model(1.0), trace)
+
+
 def test_evaluate_zero_power_is_trace_error():
     # a zero meter reading would divide by zero in the percent error
     with pytest.raises(TraceError, match="power_w must be > 0"):
@@ -325,6 +331,9 @@ def test_load_rejects_nan_and_malformed_json():
         load_model("{not json")
     with pytest.raises(ModelFormatError, match="object"):
         load_model("[1, 2]")
+    doc = save_model(model).replace(json.dumps(model.alpha), "Infinity", 1)
+    with pytest.raises(ModelFormatError, match="field 'alpha' must be finite, got inf"):
+        load_model(doc)
 
 
 def test_model_is_immutable():

@@ -270,6 +270,24 @@ def test_constant_response_is_handled():
 # ------------------------------------------------------------ error paths
 
 
+def test_residual_sigma_past_the_float_range_is_regression_error():
+    # every coefficient and standard error fits in a float, but the residual
+    # sigma of this n = 6, df = 1 fit is past it (found by a seeded random search)
+    cpu = [8.068978068235111e+198, 1.4629701738007878e+196, 1.488104255885788e+193,
+           3.482248576228314e+194, 9.984600222957642e+198, 7.790603230372936e+196]
+    mem = [3.546941859318902e+200, 1.1573068455392612e+194, 1.1987444672970125e+196,
+           3.4132352154870242e+196, 2.1438939120540014e+199, 3.982987285463467e+191]
+    disk = [2.9621954071111184e+194, 1.0222298963800764e+200, 2.9767048444068275e+190,
+            1.1214220262950498e+199, 3.7087231150208644e+194, 1.3422822216692146e+199]
+    net = [1.2867677534034184e+190, 1.036353063042089e+194, 7.327071150300228e+190,
+           1.5092470640955398e+197, 1.0288216259467382e+193, 5.360098582282827e+197]
+    power = [1.0297320758001694e+308, 1.1903852541554448e+308, 1.2148870305892884e+308,
+             -1.2444247734167321e+308, -1.4882311609680223e+308, 1.3878455940509142e+308]
+    design = DesignMatrix.from_regressors(cpu, mem, disk, net, power)
+    with pytest.raises(RegressionError, match="^the residual sigma is outside the float range$"):
+        fit_ols(design)
+
+
 def test_rank_deficiency_names_constant_column():
     rng = np.random.default_rng(1)
     x = random_design(rng, n=30)
@@ -366,6 +384,7 @@ def test_t_sf_basic_shape():
     assert student_t_sf(0.0, 5) == 1.0
     assert student_t_sf(math.inf, 5) == 0.0
     assert student_t_sf(-math.inf, 5) == 0.0
+    assert student_t_sf(1e-9, 10**9) == 1.0  # df / (df + t**2) rounds to 1
     for df in (1, 10, 500):
         previous = 1.0
         for t in np.linspace(0.0, 40.0, 200):
