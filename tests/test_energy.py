@@ -99,6 +99,13 @@ def test_integrate_errors():
         integrate([PowerSample(0.0, 100.0), PowerSample(60.0, 0.0)])
     with pytest.raises(EnergyError, match="overflows"):
         integrate([PowerSample(0.0, 1.7e308), PowerSample(60.0, 1.7e308)])
+    # a span past the float range is a fault of the timestamps, metered or predicted
+    span = r"timestamp span -1\.7e\+308 to 1\.7e\+308 overflows"
+    with pytest.raises(TraceError, match=span):
+        integrate([PowerSample(-1.7e308, 100.0), PowerSample(1.7e308, 100.0)])
+    with pytest.raises(TraceError, match=span):
+        integrate_predicted(exact_model(100.0), [MetricSample(-1.7e308, 0.5, 0.0, 0.0, 0.0),
+                                                 MetricSample(1.7e308, 0.5, 0.0, 0.0, 0.0)])
 
 
 def test_gap_warning_on_sparse_stretch():
