@@ -622,15 +622,18 @@ def test_bad_tolerance_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def aligned_argv(command, tmp_path, metrics_path, power_path):
+    """fit (writing m.json) or evaluate (of the golden model) on the given traces."""
+    argv = [command, "--metrics", str(metrics_path), "--power", str(power_path)]
+    if command == "fit":
+        return argv + ["--out", str(tmp_path / "m.json")]
+    return argv + ["--model", str(GOLDEN_MODEL)]
+
+
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
 def test_bad_tolerance_is_checked_before_reading_files(tmp_path, capsys, command):
-    argv = [command, "--metrics", str(tmp_path / "missing.csv"),
-            "--power", str(tmp_path / "missing.csv"), "--tolerance-s", "nan"]
-    if command == "fit":
-        argv += ["--out", str(tmp_path / "m.json")]
-    else:
-        argv += ["--model", str(GOLDEN_MODEL)]
-    assert main(argv) == 1
+    missing = tmp_path / "missing.csv"
+    assert main(aligned_argv(command, tmp_path, missing, missing) + ["--tolerance-s", "nan"]) == 1
     assert capsys.readouterr().err == "wattmodel: error: --tolerance-s must be > 0, got nan\n"
 
 
@@ -643,12 +646,7 @@ def test_subnormal_median_interval_is_data_error(tmp_path, capsys, command):
         METRICS_HEADER + "\n" + "".join(f"{t},0.5,1,1,1\n" for t in stamps), encoding="utf-8")
     power_path.write_text(
         POWER_HEADER + "\n" + "".join(f"{t},100\n" for t in stamps), encoding="utf-8")
-    argv = [command, "--metrics", str(metrics_path), "--power", str(power_path)]
-    if command == "fit":
-        argv += ["--out", str(tmp_path / "m.json")]
-    else:
-        argv += ["--model", str(GOLDEN_MODEL)]
-    assert main(argv) == 2
+    assert main(aligned_argv(command, tmp_path, metrics_path, power_path)) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
