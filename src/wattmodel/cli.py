@@ -76,6 +76,12 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _parse_file(parse, path: str):
+    """parse (parse_metrics or parse_power) of the file at path, read as _read_text reads it."""
+    with Path(path).open(encoding="utf-8") as fh:
+        return parse(fh)
+
+
 def _styling_enabled() -> bool:
     return sys.stdout.isatty() and not os.environ.get("WATT_NO_COLOR")
 
@@ -124,6 +130,13 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"wattmodel: warning: {category.__name__}: {message}", file=sys.stderr)
 
 
+def _check_tolerance(args) -> None:
+    """UsageError unless --tolerance-s is absent or positive; checked before any file is read."""
+    tolerance = args.tolerance_s
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
+        raise UsageError(f"--tolerance-s must be > 0, got {tolerance}")
+
+
 def _aligned(args) -> AlignedTrace:
     """--metrics paired with --power within --tolerance-s, with diagnostics on stderr.
 
@@ -131,10 +144,8 @@ def _aligned(args) -> AlignedTrace:
     echoed; metric samples left without a power sample are counted.
     """
     tolerance = args.tolerance_s
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
-        raise UsageError(f"--tolerance-s must be > 0, got {tolerance}")
-    metrics = parse_metrics(_read_text(args.metrics))
-    power = parse_power(_read_text(args.power))
+    metrics = _parse_file(parse_metrics, args.metrics)
+    power = _parse_file(parse_power, args.power)
     if tolerance is None:
         tolerance = default_tolerance(metrics)
         print(f"tolerance_s = {tolerance:.6g} (half the median metric interval)", file=sys.stderr)
@@ -150,6 +161,7 @@ def _aligned(args) -> AlignedTrace:
 
 
 def cmd_fit(args) -> None:
+    _check_tolerance(args)
     model = train(_aligned(args), hardware_id=args.hardware_id)
     document = save_model(model)
     Path(args.out).write_text(document, encoding="utf-8")
@@ -167,15 +179,17 @@ def cmd_fit(args) -> None:
 
 def cmd_predict(args) -> None:
     model = load_model(_read_text(args.model))
-    metrics = parse_metrics(_read_text(args.metrics))
+    metrics = _parse_file(parse_metrics, args.metrics)
     if not metrics:
         raise TraceError("metrics file contains no samples")
     rows = np.column_stack([metrics.timestamp, predict(model, metrics)])
-    Path(args.out).write_text(format_csv("timestamp,predicted_power_w", rows), encoding="utf-8")
+    with Path(args.out).open("w", encoding="utf-8") as out:
+        format_csv("timestamp,predicted_power_w", rows, out)
     print(f"{len(metrics)} predictions written to {args.out}", file=sys.stderr)
 
 
 def cmd_evaluate(args) -> None:
+    _check_tolerance(args)
     model = load_model(_read_text(args.model))
     _print_json(dataclasses.asdict(evaluate(model, _aligned(args))))
 
@@ -186,12 +200,12 @@ def cmd_energy(args) -> None:
     if have_power == have_model:
         raise UsageError("pass either --power, or --model together with --metrics")
     if have_power:
-        report = integrate(parse_power(_read_text(args.power)))
+        report = integrate(_parse_file(parse_power, args.power))
     else:
         if args.model is None or args.metrics is None:
             raise UsageError("predicted energy needs both --model and --metrics")
         model = load_model(_read_text(args.model))
-        metrics = parse_metrics(_read_text(args.metrics))
+        metrics = _parse_file(parse_metrics, args.metrics)
         report = integrate_predicted(model, metrics)
     _print_json(dataclasses.asdict(report))
 
@@ -284,8 +298,10 @@ def _from_flags(cls, args, **given):
 def cmd_simulate(args) -> None:
     config = _from_flags(SimConfig, args, truth=_from_flags(GroundTruth, args))
     metrics, power = generate(config)
-    Path(args.out_metrics).write_text(format_metrics(metrics), encoding="utf-8")
-    Path(args.out_power).write_text(format_power(power), encoding="utf-8")
+    with Path(args.out_metrics).open("w", encoding="utf-8") as out:
+        format_metrics(metrics, out)
+    with Path(args.out_power).open("w", encoding="utf-8") as out:
+        format_power(power, out)
     print(
         f"{len(metrics)} samples written to {args.out_metrics} and {args.out_power}",
         file=sys.stderr,

@@ -105,9 +105,14 @@ def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
         overflowed = np.isinf(errors)
         if overflowed.any():
             raise TraceError(f"the prediction error for row {int(overflowed.argmax())} overflows")
-        if np.isfinite(relative).all():
+        if not np.isfinite(relative).all():
+            raise TraceError(
+                f"MAPE is not finite; the smallest power_w is {trace.power_w.min():.6g} W")
+        # the sum overflowed: average the errors divided by a power of two, then scale back
+        exponent = int(np.frexp(relative.max())[1])
+        mape = 100.0 * float(np.ldexp(np.mean(np.ldexp(relative, -exponent)), exponent))
+        if not math.isfinite(mape):
             raise TraceError("MAPE is not finite; the sum of the percent errors overflows")
-        raise TraceError(f"MAPE is not finite; the smallest power_w is {trace.power_w.min():.6g} W")
     return EvaluationReport(
         mape=mape,
         accuracy=100.0 - mape,

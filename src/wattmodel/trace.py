@@ -13,15 +13,18 @@ A trace is held as read-only float64 columns (MetricTrace, PowerTrace,
 AlignedTrace). Each is built from rows by one constructor, which checks the
 rules above once; each field is a column under the field's name, and the
 trace still has a length, indexes and iterates as row records
-(MetricSample, PowerSample, AlignedRow).
+(MetricSample, PowerSample, AlignedRow). CSV is read from text or an open
+text file, and written to an open text file, a block of rows at a time.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -99,6 +102,15 @@ class PowerSample(NamedTuple):
 
 METRICS_HEADER = ",".join(MetricSample._fields)
 POWER_HEADER = ",".join(PowerSample._fields)
+
+# The reader asks readlines for about this many characters of lines at a
+# time, and the writer renders this many rows at a time. Small read blocks
+# keep each block's lines and array from growing the heap that align and
+# the fit reuse: with 64 KiB blocks fit's peak RSS on 28,800 rows rose.
+_READ_CHARS = 1 << 13
+_WRITE_ROWS = 4096
+# On lines of only these characters, np.loadtxt reads each field as float() does.
+_PLAIN_BLOCK = re.compile(r"[0-9.eE+\-,\n]*")
 
 
 class AlignedRow(NamedTuple):
@@ -271,14 +283,17 @@ def _line_fault(line: str, fields: tuple[str, ...]) -> str | None:
     return None
 
 
-def _data_line(lines: list[str], row: int) -> tuple[int, str]:
-    """1-based line number and text of the row-th non-blank data line."""
+def _data_line(lines: Iterable[str], row: int) -> tuple[int, str]:
+    """1-based line number and text of the row-th non-blank line of lines.
+
+    lines are the body: the lines after the header.
+    """
     numbered = ((no, line) for no, line in enumerate(lines, start=2) if line.strip())
     return next(itertools.islice(numbered, row, None))
 
 
-def _parse(text: str, kind: type[_Columns]):
-    """Parse CSV text into a trace; the first faulty line raises ParseError."""
+def _parse_text(text: str, kind: type[_Columns]):
+    """Parse CSV text line by line into a trace; the first faulty line raises ParseError."""
     fields = kind.record._fields
     header = ",".join(fields)
     lines = text.splitlines()
@@ -294,34 +309,98 @@ def _parse(text: str, kind: type[_Columns]):
         raise ParseError(line_no, _line_fault(line, fields) or exc.reason) from None
 
 
-def parse_metrics(text: str) -> MetricTrace:
-    """Parse metrics CSV text, verifying order and ranges."""
-    return _parse(text, MetricTrace)
+def _read_blocks(stream, header: str, width: int) -> np.ndarray | None:
+    """The rows after an exact header, read in blocks of lines; None off the plain grammar.
 
-
-def parse_power(text: str) -> PowerTrace:
-    """Parse power CSV text, verifying order and positivity."""
-    return _parse(text, PowerTrace)
-
-
-def format_csv(header: str, rows) -> str:
-    """Render rows (a trace or any array-like of rows) as CSV under header.
-
-    Floats are written with repr, so they keep round-trip precision.
+    readlines returns about _READ_CHARS characters of lines at a time. A
+    block must be plain (_PLAIN_BLOCK), so that np.loadtxt reads each field
+    as float() does; a block loadtxt rejects raises ValueError. Each block
+    is copied into one buffer that grows in place, so no block outlives the
+    next read.
     """
-    columns = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1).T.tolist()
-    lines = map(",".join, zip(*(map(repr, column) for column in columns)))
-    return "\n".join([header, *lines]) + "\n"
+    if stream.readline() not in (header, header + "\n"):
+        return None
+    data, n = np.empty((0, width)), 0
+    while lines := stream.readlines(_READ_CHARS):
+        if not _PLAIN_BLOCK.fullmatch("".join(lines)):
+            return None
+        if lines.count("\n") == len(lines):
+            continue  # only blank lines, which loadtxt would warn about
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] != width:
+            return None
+        if n + len(rows) > len(data):
+            data.resize((max(2 * len(data), n + len(rows)), width), refcheck=False)
+        data[n:n + len(rows)] = rows
+        n += len(rows)
+    data.resize((n, width), refcheck=False)
+    return data
 
 
-def format_metrics(samples) -> str:
-    """Render metric samples back to metrics CSV."""
-    return format_csv(METRICS_HEADER, samples)
+def _parse(source, kind: type[_Columns]):
+    """Parse CSV text or an open text file into a trace; the first faulty line raises ParseError.
+
+    Plain blocks (see _read_blocks) are parsed a block at a time. Anything
+    else, including a decode error, is parsed again from the start by
+    _parse_text, which gives every ParseError its line and wording.
+    """
+    if not isinstance(source, str) and not source.seekable():
+        source = source.read()  # a pipe: _parse_text or the line lookup reads it again
+    if isinstance(source, str):  # UTF-8 holds an ASCII character in one byte, io.StringIO in four
+        encoded = io.BytesIO(source.encode("utf-8", "surrogatepass"))
+        source = io.TextIOWrapper(encoded, "utf-8", "surrogatepass")
+    fields = kind.record._fields
+    start = source.tell()
+    try:
+        data = _read_blocks(source, ",".join(fields), len(fields))
+    except ValueError:  # a block loadtxt rejects, or a UnicodeDecodeError
+        data = None
+    source.seek(start)
+    if data is None:
+        return _parse_text(source.read(), kind)
+    try:
+        return kind(data)
+    except _RowError as exc:
+        source.readline()  # the header
+        line_no, line = _data_line(source, exc.row)
+        raise ParseError(line_no, _line_fault(line, fields) or exc.reason) from None
 
 
-def format_power(samples) -> str:
-    """Render power samples back to power CSV."""
-    return format_csv(POWER_HEADER, samples)
+def parse_metrics(source) -> MetricTrace:
+    """Parse metrics CSV, given as text or an open text file, verifying order and ranges."""
+    return _parse(source, MetricTrace)
+
+
+def parse_power(source) -> PowerTrace:
+    """Parse power CSV, given as text or an open text file, verifying order and positivity."""
+    return _parse(source, PowerTrace)
+
+
+def format_csv(header: str, rows, out=None) -> str | None:
+    """Write rows (a trace or any array-like of rows) as CSV under header.
+
+    Rows go to the open text file out, _WRITE_ROWS at a time; without out,
+    the CSV is returned as a string. Floats are written with repr, so they
+    keep round-trip precision.
+    """
+    target = io.StringIO() if out is None else out
+    data = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
+    target.write(header + "\n")
+    for start in range(0, len(data), _WRITE_ROWS):
+        columns = data[start:start + _WRITE_ROWS].T.tolist()
+        target.write("\n".join(map(",".join, zip(*(map(repr, column) for column in columns)))))
+        target.write("\n")
+    return target.getvalue() if out is None else None
+
+
+def format_metrics(samples, out=None) -> str | None:
+    """Write metric samples as metrics CSV to out, or return it without out."""
+    return format_csv(METRICS_HEADER, samples, out)
+
+
+def format_power(samples, out=None) -> str | None:
+    """Write power samples as power CSV to out, or return it without out."""
+    return format_csv(POWER_HEADER, samples, out)
 
 
 def default_tolerance(metrics) -> float:

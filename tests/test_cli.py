@@ -545,6 +545,27 @@ def test_evaluate_names_why_the_mape_overflows(tmp_path, capsys, case):
     assert "warning" not in err
 
 
+def test_evaluate_averages_percent_errors_whose_sum_overflows(tmp_path, capsys):
+    # 1,000 relative errors of 1e306 sum past the float range; their MAPE, 1e308, does not
+    doc = json.loads(GOLDEN_MODEL.read_text())
+    doc.update(alpha=1e306, beta_cpu=0.0, beta_mem=0.0, beta_disk=0.0, beta_net=0.0)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    metrics_path, power_path = tmp_path / "metrics.csv", tmp_path / "power.csv"
+    metrics_path.write_text(format_metrics([(60.0 * i, 0.5, 1, 1, 1) for i in range(1000)]),
+                            encoding="utf-8")
+    power_path.write_text(format_power([(60.0 * i, 1.0) for i in range(1000)]), encoding="utf-8")
+    rc = main(["evaluate", "--model", str(model_path),
+               "--metrics", str(metrics_path), "--power", str(power_path)])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    report = strict_json(out)
+    assert report["n"] == 1000
+    assert report["mape"] == pytest.approx(1e308, rel=1e-12)
+    assert report["accuracy"] == 100.0 - report["mape"]
+    assert "warning" not in err
+
+
 def test_corrupt_model_exits_2(tmp_path, capsys):
     bad_model = tmp_path / "model.json"
     bad_model.write_text('{"alpha": 1.0}', encoding="utf-8")
@@ -637,6 +658,14 @@ def test_bad_tolerance_is_checked_before_reading_files(tmp_path, capsys, command
     assert capsys.readouterr().err == "wattmodel: error: --tolerance-s must be > 0, got nan\n"
 
 
+def test_bad_tolerance_is_checked_before_reading_the_model(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    argv = ["evaluate", "--model", str(tmp_path / "missing.json"), "--metrics", str(missing),
+            "--power", str(missing), "--tolerance-s", "nan"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "wattmodel: error: --tolerance-s must be > 0, got nan\n"
+
+
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
 def test_subnormal_median_interval_is_data_error(tmp_path, capsys, command):
     # half of a 5e-324 s interval rounds to 0 s, which is no tolerance at all
@@ -713,6 +742,37 @@ def test_tool_warnings_survive_warnings_as_errors(tmp_path):
         assert done.returncode == 0, done.stderr
         assert done.stderr.startswith(f"wattmodel: warning: {category}: ")
         assert "Traceback" not in done.stderr
+
+
+def test_blank_bodies_survive_warnings_as_errors(tmp_path):
+    # np.loadtxt warns on a block with no data; a body of blank lines is an empty trace
+    metrics, power = tmp_path / "m.csv", tmp_path / "p.csv"
+    metrics.write_text(METRICS_HEADER + "\n" * 50_000, encoding="utf-8")  # many read blocks
+    power.write_text(POWER_HEADER + "\n\n\n", encoding="utf-8")
+    runs = [
+        (["fit", "--metrics", str(metrics), "--power", str(power), "--out", str(tmp_path / "x")],
+         "need at least 2 metric samples to derive a tolerance"),
+        (["energy", "--power", str(power)], "need at least 2 samples to integrate, got 0"),
+        (["predict", "--model", str(GOLDEN_MODEL), "--metrics", str(metrics),
+          "--out", str(tmp_path / "o.csv")], "metrics file contains no samples"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(wattmodel.__file__).parents[1]),
+               PYTHONWARNINGS="error")
+    for argv, message in runs:
+        done = subprocess.run([sys.executable, "-m", "wattmodel", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (2, f"wattmodel: data error: {message}\n")
+
+
+def test_undecodable_file_names_its_offset_in_the_whole_file(tmp_path, capsys):
+    # the byte sits past the first read block, whose decoder would count from the block
+    path = tmp_path / "power.csv"
+    body = b"".join(b"%d,100\n" % i for i in range(10_000))
+    path.write_bytes(POWER_HEADER.encode() + b"\n" + body + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text(encoding="utf-8")
+    assert main(["energy", "--power", str(path)]) == 2
+    assert capsys.readouterr().err == f"wattmodel: data error: {whole.value}\n"
 
 
 def test_results_go_to_stdout_only(tmp_path, capsys):

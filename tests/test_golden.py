@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from wattmodel import load_model, save_model
+from wattmodel import load_model, save_model, trace
 from wattmodel.cli import main as cli_main
 
 GOLDEN_MODEL = Path(__file__).parent / "golden" / "model.json"
@@ -103,6 +103,15 @@ def golden_outputs(directory: Path, capsys) -> dict[str, bytes]:
 
 
 def test_golden_outputs_are_byte_identical(tmp_path, capsys):
+    outputs = golden_outputs(tmp_path, capsys)
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert got == GOLDEN_SHA256
+
+
+def test_golden_outputs_in_small_blocks_are_byte_identical(tmp_path, capsys, monkeypatch):
+    # files read and written a few rows at a time, so that every block boundary is crossed
+    monkeypatch.setattr(trace, "_READ_CHARS", 200)
+    monkeypatch.setattr(trace, "_WRITE_ROWS", 7)
     outputs = golden_outputs(tmp_path, capsys)
     got = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert got == GOLDEN_SHA256

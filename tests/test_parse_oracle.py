@@ -2,8 +2,11 @@
 
 Bodies are valid traces with zero or more injected faults. On every body
 the two parsers must return the same values, or fail on the same line with
-the same message.
+the same message, whether the parser gets the text, an io.StringIO of it or
+the file opened as the CLI opens it, and however small its read blocks are.
 """
+
+import io
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +19,14 @@ from oracles import (
     oracle_parse_metrics,
     oracle_parse_power,
 )
-from wattmodel import ParseError, parse_metrics, parse_power
+from wattmodel import ParseError, parse_metrics, parse_power, trace
 
 BAD_TEXT = ("abc", "", "1.2.3", "0x10", "--1", "1e", "nan", "inf", "-inf",
             "Infinity", "1e999", " nan ", "1,5")
+# the line boundaries of str.splitlines() beyond \n, \r and \r\n
+BOUNDARIES = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 FAULTS = ("text", "out_of_range", "negative", "decrease", "duplicate",
-          "too_few", "too_many", "blank", "underscore", "pad")
+          "too_few", "too_many", "blank", "underscore", "pad", "boundary")
 
 
 def floats(low, high):
@@ -85,6 +90,8 @@ def bodies(draw, fields):
             row[j] = draw(st.sampled_from(("1_000", "0_1", "1__0")))
         elif kind == "pad" and row:
             row[j] = draw(st.sampled_from((" ", "\t", "  ", "\x1f"))) + row[j] + " "
+        elif kind == "boundary" and row:
+            row[j] += draw(st.sampled_from(BOUNDARIES))
     lines = [",".join(row) for row in rows]
     for i in sorted(blanks, reverse=True):
         lines.insert(i, draw(st.sampled_from(("", "   ", "\t"))))
@@ -92,17 +99,47 @@ def bodies(draw, fields):
     return newline.join(lines) + draw(st.sampled_from(("", newline)))
 
 
-def assert_same_outcome(parse, oracle, fields, text):
+def assert_same_outcome(parse, oracle, fields, text, source=lambda text: text):
+    """parse(source(text)) returns what the oracle returns for text, or fails as it fails."""
     try:
         want = oracle(text)
     except OracleParseError as expected:
         with pytest.raises(ParseError) as got:
-            parse(text)
+            parse(source(text))
         assert got.value.line_no == expected.line_no
         assert str(got.value) == str(expected)
     else:
-        rows = [tuple(getattr(r, f) for f in fields) for r in parse(text)]
+        rows = [tuple(getattr(r, f) for f in fields) for r in parse(source(text))]
         assert rows == want
+
+
+@pytest.fixture(scope="module")
+def opened(tmp_path_factory):
+    """A source for assert_same_outcome: text as a UTF-8 file, opened as the CLI opens it.
+
+    Each call closes the file the call before opened.
+    """
+    path = tmp_path_factory.mktemp("oracle") / "trace.csv"
+    files = []
+
+    def source(text):
+        while files:
+            files.pop().close()
+        path.write_bytes(text.encode("utf-8"))
+        files.append(path.open(encoding="utf-8"))
+        return files[-1]
+
+    yield source
+    while files:
+        files.pop().close()
+
+
+def assert_same_outcome_streamed(parse, oracle, fields, text, opened, kind, chars):
+    """assert_same_outcome with read blocks of chars characters, from a StringIO or a file."""
+    source = io.StringIO if kind == "stringio" else opened
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace, "_READ_CHARS", chars)
+        assert_same_outcome(parse, oracle, fields, text, source)
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,6 +154,42 @@ def test_parse_metrics_agrees_with_oracle(body):
 def test_parse_power_agrees_with_oracle(body):
     text = ",".join(POWER_FIELDS) + "\n" + body
     assert_same_outcome(parse_power, oracle_parse_power, POWER_FIELDS, text)
+
+
+SOURCES = st.sampled_from(("stringio", "file"))
+# down to one character, so that every line, and so every fault, starts a read block
+BLOCK_CHARS = st.sampled_from((1, 7, 30)) | st.integers(1, 200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=bodies(METRICS_FIELDS), kind=SOURCES, chars=BLOCK_CHARS)
+def test_parse_metrics_in_blocks_agrees_with_oracle(opened, body, kind, chars):
+    text = ",".join(METRICS_FIELDS) + "\n" + body
+    assert_same_outcome_streamed(parse_metrics, oracle_parse_metrics, METRICS_FIELDS, text,
+                                 opened, kind, chars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=bodies(POWER_FIELDS), kind=SOURCES, chars=BLOCK_CHARS)
+def test_parse_power_in_blocks_agrees_with_oracle(opened, body, kind, chars):
+    text = ",".join(POWER_FIELDS) + "\n" + body
+    assert_same_outcome_streamed(parse_power, oracle_parse_power, POWER_FIELDS, text,
+                                 opened, kind, chars)
+
+
+@pytest.mark.parametrize("kind", ["stringio", "file"])
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda char: f"U+{ord(char):04X}")
+def test_unicode_line_boundaries_agree_with_oracle(opened, kind, boundary):
+    # a file opened with universal newlines splits only at \n, \r and \r\n; these
+    # split a line for str.splitlines(), and so for the oracle, in the header too
+    header = ",".join(POWER_FIELDS)
+    for text in (f"{header}\n1,2{boundary}3,4\n5,6\n",
+                 f"{header}\n1,2\n3,4{boundary}\n5,6{boundary}",
+                 f"{header}{boundary}\n1,2\n3,1.5\n3,4\n",
+                 f"{header}{boundary}1,2\n3,4\n"):
+        for chars in (1, 4, 1 << 16):
+            assert_same_outcome_streamed(parse_power, oracle_parse_power, POWER_FIELDS, text,
+                                         opened, kind, chars)
 
 
 def test_parse_empty_body_agrees_with_oracle():

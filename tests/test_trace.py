@@ -1,7 +1,10 @@
 """CSV parsing, validation, and time-alignment tests."""
 
+import io
+import os
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from wattmodel import (
     parse_metrics,
     parse_power,
 )
+from wattmodel import trace
 from wattmodel.trace import _median
 
 METRICS_CSV = "timestamp,cpu,mem,disk,net\n"
@@ -226,6 +230,76 @@ def test_csv_round_trip_is_bit_exact(rows):
     # the contract simulate -> fit relies on: what is written is what is read
     assert same_bits(parse_metrics(format_metrics(rows[:, :5])), rows[:, :5])
     assert same_bits(parse_power(format_power(rows[:, [0, 5]])), rows[:, [0, 5]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_rows(), st.integers(1, 5), st.integers(1, 100))
+def test_csv_round_trip_in_blocks_is_bit_exact(rows, write_rows, read_chars):
+    # rows written a few at a time and read back a few characters at a time
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace, "_WRITE_ROWS", write_rows)
+        patch.setattr(trace, "_READ_CHARS", read_chars)
+        for columns, write, parse in (([0, 1, 2, 3, 4], format_metrics, parse_metrics),
+                                      ([0, 5], format_power, parse_power)):
+            out = io.StringIO()
+            assert write(rows[:, columns], out) is None
+            assert out.getvalue() == write(rows[:, columns])
+            out.seek(0)
+            assert same_bits(parse(out), rows[:, columns])
+
+
+@pytest.mark.parametrize("body", ["0,100\n1,200\n", "0,100\n1,-2\n", "0,100\n1,1_0\n"])
+def test_parse_from_a_pipe_matches_the_text(body):
+    # a pipe cannot seek back, so the slow path and the line lookup read what was read first
+    text = POWER_CSV + body
+    try:
+        want = list(parse_power(text))
+    except ParseError as exc:
+        want = str(exc)
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode("utf-8"))
+    os.close(write_end)
+    with open(read_end, encoding="utf-8") as pipe:
+        assert not pipe.seekable()
+        try:
+            got = list(parse_power(pipe))
+        except ParseError as exc:
+            got = str(exc)
+    assert got == want
+
+
+def test_csv_written_in_blocks_is_one_repr_line_per_row(monkeypatch):
+    rows = [(i * 0.1, 0.5, 1.0 / 3.0, 2.0**-40, 1e300) for i in range(10)]
+    want = METRICS_CSV + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    monkeypatch.setattr(trace, "_WRITE_ROWS", 3)
+    assert format_metrics(rows) == want
+    assert format_metrics([]) == METRICS_CSV
+
+
+def test_file_parse_and_write_hold_under_three_times_the_trace(tmp_path):
+    # tracemalloc counts numpy buffers too; holding the file's text, its lines
+    # or the whole output string would each cost several times the trace
+    n = 200_000
+    rng = np.random.default_rng(3)
+    rows = np.column_stack([np.arange(n) * 0.5, rng.random(n), rng.random((n, 3)) * 1e6])
+    path, copy = tmp_path / "metrics.csv", tmp_path / "copy.csv"
+    with path.open("w", encoding="utf-8") as out:
+        format_metrics(rows, out)
+    tracemalloc.start()
+    try:
+        with path.open(encoding="utf-8") as fh:
+            parsed = parse_metrics(fh)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with copy.open("w", encoding="utf-8") as out:
+            format_metrics(parsed, out)
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(parsed, rows)
+    assert copy.read_bytes() == path.read_bytes()
+    assert read_peak < 3 * rows.nbytes, (read_peak, rows.nbytes)
+    assert write_peak < 3 * rows.nbytes, (write_peak, rows.nbytes)
 
 
 # ------------------------------------------------------------- alignment
