@@ -24,8 +24,6 @@ import warnings
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .energy import EnergyError, GapWarning, integrate, integrate_predicted
 from .powermodel import (
     ModelFormatError,
@@ -41,8 +39,9 @@ from .simgen import PROFILES, FloorWarning, GroundTruth, SimConfig, SimConfigErr
 from .tariff import MAX_HORIZON_MONTHS
 from .tariff import BreakdownReport, CostProjection, Tariff, TariffError, breakdown, project_cost
 from .trace import (
-    AlignedTrace,
+    AlignmentMeta,
     TraceError,
+    _pair,
     align,
     default_tolerance,
     format_csv,
@@ -137,11 +136,10 @@ def _check_tolerance(args) -> None:
         raise UsageError(f"--tolerance-s must be > 0, got {tolerance}")
 
 
-def _aligned(args) -> AlignedTrace:
-    """--metrics paired with --power within --tolerance-s, with diagnostics on stderr.
+def _traces(args):
+    """(metrics, power, tolerance): --metrics and --power parsed, and the pairing window.
 
-    Without --tolerance-s the default is derived from the metrics and
-    echoed; metric samples left without a power sample are counted.
+    Without --tolerance-s the window is derived from the metrics and echoed.
     """
     tolerance = args.tolerance_s
     metrics = _parse_file(parse_metrics, args.metrics)
@@ -149,20 +147,25 @@ def _aligned(args) -> AlignedTrace:
     if tolerance is None:
         tolerance = default_tolerance(metrics)
         print(f"tolerance_s = {tolerance:.6g} (half the median metric interval)", file=sys.stderr)
-    aligned = align(metrics, power, tolerance)
-    meta = aligned.source_meta
+    return metrics, power, tolerance
+
+
+def _report_dropped(meta: AlignmentMeta, tolerance: float) -> None:
+    """Count on stderr the metric samples left without a power sample, if any."""
     if meta.n_dropped:
         print(
             f"dropped {meta.n_dropped} of {meta.n_metrics} metric samples "
             f"(no power sample within {tolerance:.6g} s)",
             file=sys.stderr,
         )
-    return aligned
 
 
 def cmd_fit(args) -> None:
     _check_tolerance(args)
-    model = train(_aligned(args), hardware_id=args.hardware_id)
+    metrics, power, tolerance = _traces(args)
+    pairing, meta = _pair(metrics, power, tolerance)
+    _report_dropped(meta, tolerance)
+    model = train(pairing, hardware_id=args.hardware_id)
     document = save_model(model)
     Path(args.out).write_text(document, encoding="utf-8")
     print(f"model written to {args.out}", file=sys.stderr)
@@ -182,16 +185,19 @@ def cmd_predict(args) -> None:
     metrics = _parse_file(parse_metrics, args.metrics)
     if not metrics:
         raise TraceError("metrics file contains no samples")
-    rows = np.column_stack([metrics.timestamp, predict(model, metrics)])
+    columns = (metrics.timestamp, predict(model, metrics))
     with Path(args.out).open("w", encoding="utf-8") as out:
-        format_csv("timestamp,predicted_power_w", rows, out)
+        format_csv("timestamp,predicted_power_w", columns, out)
     print(f"{len(metrics)} predictions written to {args.out}", file=sys.stderr)
 
 
 def cmd_evaluate(args) -> None:
     _check_tolerance(args)
     model = load_model(_read_text(args.model))
-    _print_json(dataclasses.asdict(evaluate(model, _aligned(args))))
+    metrics, power, tolerance = _traces(args)
+    aligned = align(metrics, power, tolerance)
+    _report_dropped(aligned.source_meta, tolerance)
+    _print_json(dataclasses.asdict(evaluate(model, aligned)))
 
 
 def cmd_energy(args) -> None:

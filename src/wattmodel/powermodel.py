@@ -33,6 +33,12 @@ __all__ = [
     "train",
 ]
 
+# train reads its rows in blocks of about this many. At this size OpenBLAS
+# runs a block's QR on the calling thread (0.03-0.05 ms for 1,024 rows by 6
+# columns on 2 vCPUs); from about 2,048 rows it hands the work to its worker
+# thread, and on a busy host such a QR sometimes waited 8 ms for it.
+BLOCK_ROWS = 1024
+
 
 class ModelFormatError(ValueError):
     """Model document is missing fields, mistyped, or violates invariants."""
@@ -60,14 +66,43 @@ class EvaluationReport:
     n: int
 
 
-def train(trace: AlignedTrace, hardware_id: str = "", created_at: float | None = None) -> PowerModel:
-    """Fit the model to an aligned trace; the intercept is the baseline power."""
-    design = DesignMatrix.from_regressors(
-        cpu=trace.cpu, mem=trace.mem, disk=trace.disk, net=trace.net, power=trace.power_w
-    )
-    coef, diagnostics = fit_ols(design)
+def train(
+    trace: AlignedTrace | tuple, hardware_id: str = "", created_at: float | None = None
+) -> PowerModel:
+    """Fit the model to paired rows; the intercept is the baseline power.
+
+    trace is an AlignedTrace (or any object with its columns and a length),
+    or the pairing (metrics, power, metric_rows, power_rows) of a metric
+    trace and a power trace by row indices, as trace._pair gives it. The
+    rows are read in even blocks of about BLOCK_ROWS, so no more than one
+    block of the design is held at once.
+    """
+    coef, diagnostics = fit_ols(_designs(trace))
     created_at = time.time() if created_at is None else created_at
     return PowerModel(*coef.tolist(), diagnostics, hardware_id, created_at)
+
+
+def _designs(trace):
+    """The DesignMatrix of each of train's row blocks, built as fit_ols asks for it.
+
+    With n >= BLOCK_ROWS rows every block has at least BLOCK_ROWS rows, so
+    none falls below MIN_ROWS; fewer rows make one block.
+    """
+    if isinstance(trace, tuple):
+        metrics, power, metric_rows, power_rows = trace
+        n = len(metric_rows)
+    else:  # row i of an aligned trace pairs its own columns
+        metrics, power, metric_rows, power_rows = trace, trace, None, None
+        n = len(trace)
+    blocks = max(1, n // BLOCK_ROWS)
+    for i in range(blocks):
+        rows = slice(n * i // blocks, n * (i + 1) // blocks)
+        m = rows if metric_rows is None else metric_rows[rows]
+        p = rows if power_rows is None else power_rows[rows]
+        yield DesignMatrix.from_regressors(
+            cpu=metrics.cpu[m], mem=metrics.mem[m], disk=metrics.disk[m], net=metrics.net[m],
+            power=power.power_w[p],
+        )
 
 
 def predict(model: PowerModel, sample):

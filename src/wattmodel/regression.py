@@ -90,10 +90,7 @@ class DesignMatrix:
         if y.shape != (x.shape[0],):
             raise RegressionError("response length must match design rows")
         if x.shape[0] < MIN_ROWS:
-            raise InsufficientDataError(
-                f"need at least {MIN_ROWS} rows to fit {len(COLUMN_NAMES)} "
-                f"parameters, got {x.shape[0]}"
-            )
+            raise _too_few_rows(x.shape[0])
         if not np.isfinite(x).all() or not np.isfinite(y).all():
             raise RegressionError("design matrix entries must be finite")
         if not (x[:, 0] == 1.0).all():
@@ -108,22 +105,66 @@ class DesignMatrix:
         return cls(x=np.column_stack([np.ones(len(power)), cpu, mem, disk, net]), y=power)
 
 
-def fit_ols(design: DesignMatrix) -> tuple[np.ndarray, FitDiagnostics]:
+def fit_ols(design) -> tuple[np.ndarray, FitDiagnostics]:
     """Least-squares coefficients plus standard errors, t-stats, p-values, R².
 
-    Standard errors use the unbiased residual variance and the diagonal of
-    (R'R)^-1; R² is measured against the mean-only model.
+    design is one DesignMatrix, or an iterable of DesignMatrix blocks of the
+    rows, read one block at a time. Each block is reduced to the R factor of
+    its [x | y]; the blocks' factors are merged by one more QR (TSQR), so no
+    two blocks are held at once. One DesignMatrix is one block, fitted from
+    its own R. Standard errors use the unbiased residual variance and the
+    diagonal of (R'R)^-1; R² is measured against the mean-only model.
     """
-    n, p = design.x.shape
+    blocks = (design,) if isinstance(design, DesignMatrix) else design
+    parts, n = [], 0
+    for block in blocks:
+        parts.append(_block_r(np.column_stack([block.x, block.y])))
+        n += block.n
+    if not parts:
+        raise _too_few_rows(0)
+    return _fit_from_r(*_merge_r(parts), n)
 
-    # dividing each column of [x | y] by the power of two at its largest magnitude
-    # is exact, and then no square or sum below overflows near the float range's ends
-    xy = np.column_stack([design.x, design.y])
+
+def _too_few_rows(n: int) -> InsufficientDataError:
+    return InsufficientDataError(
+        f"need at least {MIN_ROWS} rows to fit {len(COLUMN_NAMES)} parameters, got {n}"
+    )
+
+
+def _block_r(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R of one block of [x | y] with each column scaled by a power of two, and those exponents.
+
+    Dividing each column (in place) by the power of two at its largest
+    magnitude is exact, and then no square or sum in the QR overflows near
+    the float range's ends. R of [x | y] is R of x (whose columns keep x's
+    norms), then Q'y over the residual norm.
+    """
     exponent = np.frexp(np.maximum(xy.max(axis=0), -xy.min(axis=0)))[1] - 1
     np.ldexp(xy, -exponent, out=xy)
+    return np.linalg.qr(xy, mode="r"), exponent
 
-    # R of [x | y]: R of x (whose columns keep x's norms), then Q'y over the residual norm
-    r_xy = np.linalg.qr(xy, mode="r")
+
+def _merge_r(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """R and column exponents of all the blocks' rows, from each block's (R, exponents).
+
+    R of the stacked rows is R of the stacked R's. Each part is first brought
+    to the largest exponent of its column, which multiplies the column by a
+    power of two. That is exact unless an entry falls below the normal range,
+    and then its error is below 2**-1074, against a column norm of at least 1
+    in the block that holds the column's largest magnitude.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    exponent = np.max([e for _, e in parts], axis=0)
+    stacked = np.concatenate([np.ldexp(r, e - exponent) for r, e in parts])
+    return np.linalg.qr(stacked, mode="r"), exponent
+
+
+def _fit_from_r(
+    r_xy: np.ndarray, exponent: np.ndarray, n: int
+) -> tuple[np.ndarray, FitDiagnostics]:
+    """The fit of n rows from R of their [x | y], each column divided by 2**exponent."""
+    p = r_xy.shape[1] - 1
     r, qty = r_xy[:p, :p], r_xy[:p, p]
     col_norms = np.sqrt((r * r).sum(axis=0))
     for j in range(p):

@@ -104,9 +104,10 @@ METRICS_HEADER = ",".join(MetricSample._fields)
 POWER_HEADER = ",".join(PowerSample._fields)
 
 # The reader asks readlines for about this many characters of lines at a
-# time, and the writer renders this many rows at a time. Small read blocks
-# keep each block's lines and array from growing the heap that align and
-# the fit reuse: with 64 KiB blocks fit's peak RSS on 28,800 rows rose.
+# time; the writer renders, and align gathers, this many rows at a time.
+# Small read blocks keep each block's lines and array from growing the heap
+# that align and the fit reuse: with 64 KiB blocks fit's peak RSS on 28,800
+# rows rose.
 _READ_CHARS = 1 << 13
 _WRITE_ROWS = 4096
 # On lines of only these characters, np.loadtxt reads each field as float() does.
@@ -376,31 +377,35 @@ def parse_power(source) -> PowerTrace:
     return _parse(source, PowerTrace)
 
 
-def format_csv(header: str, rows, out=None) -> str | None:
-    """Write rows (a trace or any array-like of rows) as CSV under header.
+def format_csv(header: str, columns, out=None) -> str | None:
+    """Write columns (one 1-D array per header field, all of one length) as CSV under header.
 
     Rows go to the open text file out, _WRITE_ROWS at a time; without out,
     the CSV is returned as a string. Floats are written with repr, so they
     keep round-trip precision.
     """
     target = io.StringIO() if out is None else out
-    data = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
     target.write(header + "\n")
-    for start in range(0, len(data), _WRITE_ROWS):
-        columns = data[start:start + _WRITE_ROWS].T.tolist()
-        target.write("\n".join(map(",".join, zip(*(map(repr, column) for column in columns)))))
+    for start in range(0, len(columns[0]), _WRITE_ROWS):
+        block = (map(repr, column[start:start + _WRITE_ROWS].tolist()) for column in columns)
+        target.write("\n".join(map(",".join, zip(*block))))
         target.write("\n")
     return target.getvalue() if out is None else None
 
 
+def _as_columns(rows, record: type) -> np.ndarray:
+    """The columns of rows (a trace or any array-like of record-shaped rows), as float64."""
+    return np.asarray(rows, dtype=float).reshape(-1, len(record._fields)).T
+
+
 def format_metrics(samples, out=None) -> str | None:
     """Write metric samples as metrics CSV to out, or return it without out."""
-    return format_csv(METRICS_HEADER, samples, out)
+    return format_csv(METRICS_HEADER, _as_columns(samples, MetricSample), out)
 
 
 def format_power(samples, out=None) -> str | None:
     """Write power samples as power CSV to out, or return it without out."""
-    return format_csv(POWER_HEADER, samples, out)
+    return format_csv(POWER_HEADER, _as_columns(samples, PowerSample), out)
 
 
 def default_tolerance(metrics) -> float:
@@ -439,6 +444,22 @@ def align(metrics, power, tolerance_s: float) -> AlignedTrace:
     power sample may serve several metric samples. Equidistant candidates
     resolve to the earlier power sample.
     """
+    (metrics, power, metric_rows, power_rows), meta = _pair(metrics, power, tolerance_s)
+    rows, data = np.empty((len(metric_rows), len(AlignedRow._fields))), np.asarray(metrics)
+    for start in range(0, len(rows), _WRITE_ROWS):  # no temporary array of all the rows
+        block = slice(start, start + _WRITE_ROWS)
+        rows[block, :-1] = data[metric_rows[block]]
+        rows[block, -1] = power.power_w[power_rows[block]]
+    return AlignedTrace(rows, source_meta=meta)
+
+
+def _pair(metrics, power, tolerance_s: float):
+    """The pairing align builds its rows from: ((metrics, power, metric_rows, power_rows), meta).
+
+    metrics and power come back as traces; metric_rows indexes each metric
+    sample kept and power_rows its power sample, by align's rule. meta
+    counts the samples; AlignmentError when no metric sample is kept.
+    """
     if not (tolerance_s > 0.0) or not math.isfinite(tolerance_s):
         raise TraceError(f"tolerance_s must be a positive number, got {tolerance_s}")
     metrics, power = MetricTrace.of(metrics), PowerTrace.of(power)
@@ -448,15 +469,19 @@ def align(metrics, power, tolerance_s: float) -> AlignedTrace:
     padded = np.concatenate(([-np.inf], power.timestamp, [np.inf]))
     after = np.searchsorted(power.timestamp, stamps)  # first power sample at or after
     with np.errstate(over="ignore"):  # a gap past the float range is past any tolerance
-        earlier_gap = stamps - padded[after]
-        later_gap = padded[after + 1] - stamps
-    take_earlier = earlier_gap <= later_gap
-    nearest = np.where(take_earlier, after - 1, after)
-    keep = np.where(take_earlier, earlier_gap, later_gap) <= tolerance_s
+        gap = stamps - padded[after]  # to the power sample before
+        later_gap = padded[1:][after]
+        later_gap -= stamps
+    take_earlier = gap <= later_gap
+    np.minimum(gap, later_gap, out=gap)
+    keep = gap <= tolerance_s
+    del padded, gap, later_gap  # freed before the row indices are made: this is fit's peak
+    metric_rows = np.flatnonzero(keep)
+    power_rows = np.subtract(after, take_earlier, out=after)[metric_rows]
 
-    dropped = len(metrics) - int(keep.sum())
-    meta = AlignmentMeta(n_metrics=len(metrics), n_power=len(power), n_dropped=dropped)
-    if dropped == len(metrics):
+    meta = AlignmentMeta(
+        n_metrics=len(metrics), n_power=len(power), n_dropped=len(metrics) - len(metric_rows)
+    )
+    if not len(metric_rows):
         raise AlignmentError(tolerance_s, meta)
-    rows = np.column_stack([np.asarray(metrics)[keep], power.power_w[nearest[keep]]])
-    return AlignedTrace(rows, source_meta=meta)
+    return (metrics, power, metric_rows, power_rows), meta

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,14 +15,20 @@ import pytest
 import wattmodel
 from conftest import REF_TRUTH, exact_model, strict_json
 from wattmodel import (
+    AlignedRow,
+    MetricTrace,
+    PowerTrace,
     SimConfig,
     format_metrics,
     format_power,
     generate,
     load_model,
+    parse_metrics,
     save_model,
 )
+from wattmodel import cli
 from wattmodel.cli import main
+from wattmodel.powermodel import BLOCK_ROWS
 
 METRICS_HEADER = "timestamp,cpu,mem,disk,net"
 POWER_HEADER = "timestamp,power_w"
@@ -158,6 +165,60 @@ def test_predict_reference_rows(tmp_path, capsys):
     assert lines[2] == "60.0,107.5"
     assert lines[3] == "120.0,232.4"
     assert "3 predictions" in capsys.readouterr().err
+
+
+def parsed_pair(monkeypatch, n):
+    """n metric rows at 1 Hz and their power 0.25 s later, handed to cli in place of parsing."""
+    rng = np.random.default_rng(5)
+    t = np.arange(n, dtype=float)
+    cpu, mem, disk, net = rng.random((4, n)) * np.array([[1.0], [1e6], [400.0], [1e8]])
+    watts = 107.5 + 124.9 * cpu + 5.471e-06 * mem + 3.661e-02 * disk + 3.382e-08 * net
+    parsed = {cli.parse_metrics: MetricTrace(np.column_stack([t, cpu, mem, disk, net])),
+              cli.parse_power: PowerTrace(np.column_stack([t + 0.25, watts]))}
+    monkeypatch.setattr(cli, "_parse_file", lambda parse, path: parsed[parse])
+
+
+def test_fit_after_parsing_holds_less_than_the_aligned_rows(tmp_path, monkeypatch):
+    # fit pairs the traces by row indices and reads the pairs in blocks, so it
+    # holds no aligned copy of the rows, no whole design and no whole [x | y]
+    n = 200_000
+    parsed_pair(monkeypatch, n)
+    model_path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        assert main(["fit", "--metrics", "m.csv", "--power", "p.csv",
+                     "--out", str(model_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert load_model(model_path.read_text(encoding="utf-8")).beta_cpu == pytest.approx(124.9)
+    assert peak < n * len(AlignedRow._fields) * 8
+
+
+def test_predict_writes_its_columns_without_stacking_them(tmp_path, monkeypatch):
+    n = 200_000
+    parsed_pair(monkeypatch, n)
+    model_path, out_path = tmp_path / "model.json", tmp_path / "pred.csv"
+    model_path.write_text(save_model(exact_model(100.0, beta_cpu=50.0)), encoding="utf-8")
+    predict, held = cli.predict, []
+
+    def predict_then_measure(model, sample):
+        watts = predict(model, sample)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return watts
+
+    monkeypatch.setattr(cli, "predict", predict_then_measure)
+    tracemalloc.start()
+    try:
+        assert main(["predict", "--model", str(model_path), "--metrics", "m.csv",
+                     "--out", str(out_path)]) == 0
+        write_peak = tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+    lines = out_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == n + 1 and lines[2].startswith("1.0,")
+    assert write_peak < n * 2 * 8  # the n x 2 array of timestamps and predictions
 
 
 def test_predict_empty_metrics_is_data_error(tmp_path, capsys):
@@ -582,6 +643,19 @@ def test_rank_deficiency_exits_3(tmp_path, capsys):
                "--out", str(tmp_path / "m.json")])
     assert rc == 3
     assert "cpu" in capsys.readouterr().err
+
+
+def test_rank_deficiency_over_several_blocks_exits_3(tmp_path, capsys):
+    metrics_path, power_path = write_traces(tmp_path, n=3 * BLOCK_ROWS + 7)
+    rows = np.array(parse_metrics(metrics_path.read_text(encoding="utf-8")))
+    rows[:, 3] = 20.0  # disk
+    metrics_path.write_text(format_metrics(rows), encoding="utf-8")
+    rc = main(["fit", "--metrics", str(metrics_path), "--power", str(power_path),
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "wattmodel: numerical error: design matrix is rank deficient: column 'disk' carries "
+        "no independent variation")
 
 
 def write_extreme_traces(tmp_path, mem, power):

@@ -13,8 +13,11 @@ from wattmodel import (
     FitDiagnostics,
     InsufficientDataError,
     MetricSample,
+    MetricTrace,
     ModelFormatError,
     PowerModel,
+    PowerTrace,
+    RankDeficiencyError,
     SimConfig,
     TraceError,
     align,
@@ -26,6 +29,9 @@ from wattmodel import (
     save_model,
     train,
 )
+from wattmodel import powermodel
+from wattmodel.powermodel import BLOCK_ROWS, _designs
+from wattmodel.trace import _pair
 
 
 def simulated_trace(noise=0.0, seed=1, n=720, profile="bursty", truth=REF_TRUTH):
@@ -63,8 +69,63 @@ def test_train_rejects_five_rows():
         net=[1, 3, 5, 2, 4],
         power=[100, 110, 120, 130, 140],
     )
-    with pytest.raises(InsufficientDataError):
+    message = "^need at least 6 rows to fit 5 parameters, got 5$"
+    with pytest.raises(InsufficientDataError, match=message):
         train(trace)
+    rows = np.asarray(trace)
+    pairing, _ = _pair(MetricTrace(rows[:, :5]), PowerTrace(rows[:, [0, 5]]), 1.0)
+    with pytest.raises(InsufficientDataError, match=message):
+        train(pairing)
+
+
+def blocked_pair(n=3 * BLOCK_ROWS + 600):
+    """A noisy 1 Hz metric and power trace over n seconds, the meter silent for 500 of them."""
+    config = SimConfig(truth=REF_TRUTH, duration_s=float(n), interval_s=1.0,
+                       noise_sigma_w=2.0, seed=5, workload_profile="bursty")
+    metrics, power = generate(config)
+    return metrics, PowerTrace(np.delete(np.asarray(power), np.s_[1000:1500], axis=0))
+
+
+def test_train_on_a_pairing_is_train_on_its_aligned_trace():
+    metrics, power = blocked_pair()
+    pairing, meta = _pair(metrics, power, 0.5)
+    assert meta.n_dropped == 500
+    assert train(pairing, created_at=0.0) == train(align(metrics, power, 0.5), created_at=0.0)
+
+
+def test_train_reads_even_blocks_of_at_least_block_rows():
+    metrics, power = blocked_pair()
+    for n in (6, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 3 * BLOCK_ROWS + 100):
+        rows = np.arange(n)
+        sizes = [design.n for design in _designs((metrics, power, rows, rows))]
+        assert sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= BLOCK_ROWS or sizes == [n]
+
+
+def test_blocked_train_matches_one_block_train(monkeypatch):
+    pairing, _ = _pair(*blocked_pair(), 0.5)
+    assert len(list(_designs(pairing))) == 3
+    blocked = train(pairing, created_at=0.0)
+    monkeypatch.setattr(powermodel, "BLOCK_ROWS", 10**9)
+    whole = train(pairing, created_at=0.0)
+
+    def numbers(model):
+        d = model.diagnostics
+        return [*dataclasses.astuple(model)[:5], d.r_squared, d.residual_sigma,
+                *d.std_errors, *d.t_stats, *d.p_values, d.df, d.n_samples]
+
+    assert numbers(blocked) == pytest.approx(numbers(whole), rel=1e-10, abs=0.0)
+
+
+def test_blocked_train_names_a_constant_column():
+    metrics, power = blocked_pair()
+    rows = np.array(metrics)
+    rows[:, 3] = 20.0  # disk
+    pairing, _ = _pair(MetricTrace(rows), power, 0.5)
+    with pytest.raises(RankDeficiencyError) as exc_info:
+        train(pairing)
+    assert exc_info.value.column == "disk"
 
 
 def test_train_strong_noisy_signal_saturates_significance():

@@ -27,6 +27,7 @@ from wattmodel import (
     fit_ols,
     student_t_sf,
 )
+from wattmodel.regression import _block_r, _fit_from_r
 
 
 def random_design(rng, n=50, native_scales=False):
@@ -265,6 +266,103 @@ def test_constant_response_is_handled():
     _, diag = fit_ols(DesignMatrix(x=x, y=y))
     assert 0.0 <= diag.r_squared <= 1.0
     assert diag.residual_sigma == pytest.approx(0.0, abs=1e-10)
+
+
+# -------------------------------------------------------- merged blocks
+
+
+def fit_or_error(design):
+    """fit_ols(design) as (beta, diagnostics), or the RegressionError it raised."""
+    try:
+        return fit_ols(design)
+    except RegressionError as exc:
+        return exc
+
+
+def assert_same_fit(merged, whole, rel=1e-10):
+    """Two fit_or_error results: the same error (type and message), or fits within rel."""
+    if isinstance(whole, RegressionError):
+        assert type(merged) is type(whole) and str(merged) == str(whole)
+        return
+    assert not isinstance(merged, RegressionError), merged
+    (beta1, diag1), (beta2, diag2) = merged, whole
+    assert beta1 == pytest.approx(beta2, rel=rel, abs=0.0)
+    assert diag1.std_errors == pytest.approx(diag2.std_errors, rel=rel, abs=0.0)
+    assert diag1.t_stats == pytest.approx(diag2.t_stats, rel=rel, abs=0.0)
+    assert diag1.p_values == pytest.approx(diag2.p_values, rel=rel, abs=0.0)
+    assert diag1.residual_sigma == pytest.approx(diag2.residual_sigma, rel=rel, abs=0.0)
+    assert diag1.r_squared == pytest.approx(diag2.r_squared, rel=rel, abs=0.0)
+    assert (diag1.df, diag1.n_samples) == (diag2.df, diag2.n_samples)
+
+
+@st.composite
+def blocked_designs(draw):
+    """(x, y, cuts): a design with columns scaled up to 1e±300, maybe degenerate, and row cuts.
+
+    Every block between cuts has at least 6 rows. The response's scale stays
+    within 1e300 of each column's, so every coefficient is a normal float.
+    """
+    n_blocks = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(6, 40), min_size=n_blocks, max_size=n_blocks))
+    n = sum(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = draw(st.lists(st.integers(-300, 300), min_size=4, max_size=4))
+    low, high = max(max(exponents) - 300, -300), min(min(exponents) + 300, 300)
+    y_exponent = draw(st.integers(low, high))
+    scales = np.array([1.0] + [10.0**e for e in exponents])
+    unit = np.column_stack([np.ones(n), rng.uniform(0.05, 1.0, (n, 4))])
+    y = (unit @ rng.uniform(0.5, 2.0, 5) + 0.1 * rng.standard_normal(n)) * 10.0**y_exponent
+    degenerate = draw(st.sampled_from([None, "constant", "zero", "double"]))
+    j = draw(st.integers(1, 4))
+    if degenerate == "constant":
+        unit[:, j] = 0.5
+    elif degenerate == "zero":
+        unit[:, j] = 0.0
+    elif degenerate == "double":  # column j is twice another, in units of its own scale
+        k = draw(st.integers(1, 4).filter(lambda k: k != j))
+        unit[:, j] = 2.0 * unit[:, k]
+        scales[j] = scales[k]
+    return unit * scales, y, np.cumsum(sizes)[:-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocked_designs())
+def test_merged_block_fit_matches_the_one_block_fit(case):
+    x, y, cuts = case
+    blocks = (DesignMatrix(x=bx, y=by) for bx, by in zip(np.split(x, cuts), np.split(y, cuts)))
+    assert_same_fit(fit_or_error(blocks), fit_or_error(DesignMatrix(x=x, y=y)))
+
+
+def test_merge_rescale_below_the_normal_range_keeps_the_fit():
+    # mem is near 2**100 in the first block and 2**-930 in the second, so bringing
+    # the second block's R to the first block's exponent puts entries below 2**-1022
+    rng = np.random.default_rng(7)
+    x = random_design(rng, n=40)
+    y = random_response(rng, x)
+    x[:20, 2] *= 2.0**100
+    x[20:, 2] *= 2.0**-930
+    blocks = [DesignMatrix(x=x[:20], y=y[:20]), DesignMatrix(x=x[20:], y=y[20:])]
+    (_, e1), (r2, e2) = (_block_r(np.column_stack([b.x, b.y])) for b in blocks)
+    shifted = np.ldexp(r2, e2 - np.maximum(e1, e2))
+    assert ((shifted != 0.0) & (np.abs(shifted) < np.finfo(float).tiny)).any()
+    assert_same_fit(fit_or_error(blocks), fit_or_error(DesignMatrix(x=x, y=y)))
+
+
+def test_one_block_is_fitted_from_its_own_r():
+    # one block, alone or in a list, is fitted from its own R, with no merge
+    rng = np.random.default_rng(8)
+    x = random_design(rng, n=30)
+    design = DesignMatrix(x=x, y=random_response(rng, x))
+    want_beta, want_diag = _fit_from_r(*_block_r(np.column_stack([x, design.y])), design.n)
+    for beta, diag in (fit_ols(design), fit_ols([design])):
+        assert beta.tolist() == want_beta.tolist()
+        assert diag == want_diag
+
+
+def test_no_blocks_is_insufficient_data():
+    message = "^need at least 6 rows to fit 5 parameters, got 0$"
+    with pytest.raises(InsufficientDataError, match=message):
+        fit_ols(iter([]))
 
 
 # ------------------------------------------------------------ error paths
