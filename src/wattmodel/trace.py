@@ -14,7 +14,8 @@ AlignedTrace). Each is built from rows by one constructor, which checks the
 rules above once; each field is a column under the field's name, and the
 trace still has a length, indexes and iterates as row records
 (MetricSample, PowerSample, AlignedRow). CSV is read from text or an open
-text file, and written to an open text file, a block of rows at a time.
+text file in one pass, a block of lines at a time, and written to an open
+text file a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,6 +170,18 @@ def _first_invalid_row(data: np.ndarray, fields: tuple[str, ...]):
     return row, reason.format(data[row, column].item(), previous)
 
 
+def _float_rows(rows, kind: type[_Columns], copy=None) -> np.ndarray:
+    """rows as an (n, k) float64 array, k the fields of kind, copied as np.array copies."""
+    fields = kind.record._fields
+    try:
+        data = np.array(rows, dtype=float, copy=copy)
+        if data.shape[1:] == (len(fields),) or data.shape == (0,):
+            return data.reshape(-1, len(fields))
+    except ValueError:  # ragged rows, or a field that is not a number
+        pass
+    raise TraceError(f"{kind.__name__} rows must have the fields {fields}")
+
+
 class _Columns:
     """Rows of one record type, held as read-only float64 columns.
 
@@ -181,11 +194,7 @@ class _Columns:
 
     def __init__(self, rows=()):
         fields = self.record._fields
-        data = np.array(rows, dtype=float)
-        if data.size == 0:
-            data = data.reshape(0, len(fields))
-        if data.ndim != 2 or data.shape[1] != len(fields):
-            raise TraceError(f"{type(self).__name__} rows must have the fields {fields}")
+        data = _float_rows(rows, type(self), copy=True)
         problem = _first_invalid_row(data, fields)
         if problem:
             raise _RowError(*problem)
@@ -284,52 +293,28 @@ def _line_fault(line: str, fields: tuple[str, ...]) -> str | None:
     return None
 
 
-def _data_line(lines: Iterable[str], row: int) -> tuple[int, str]:
-    """1-based line number and text of the row-th non-blank line of lines.
+def _read_rows(source, fields: tuple[str, ...]) -> np.ndarray:
+    """The rows under the header of source, read once in blocks of lines; ParseError on the header.
 
-    lines are the body: the lines after the header.
+    Lines split as str.splitlines() splits them. A plain block (_PLAIN_BLOCK) with a data line
+    goes through np.loadtxt; any other, or one loadtxt rejects or reads at another width,
+    through _floats. Each block is copied into one buffer that grows in place.
     """
-    numbered = ((no, line) for no, line in enumerate(lines, start=2) if line.strip())
-    return next(itertools.islice(numbered, row, None))
-
-
-def _parse_text(text: str, kind: type[_Columns]):
-    """Parse CSV text line by line into a trace; the first faulty line raises ParseError."""
-    fields = kind.record._fields
-    header = ",".join(fields)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != header:
-        found = lines[0].strip() if lines else "<empty stream>"
+    header, width = ",".join(fields), len(fields)
+    lines = source.readline().splitlines(keepends=True)
+    found = lines.pop(0).strip() if lines else "<empty stream>"
+    if found != header:
         raise ParseError(1, f"expected header {header!r}, found {found!r}")
-    body = lines[1:]
-    data = np.fromiter(_floats(body, len(fields)), float).reshape(-1, len(fields))
-    try:
-        return kind(data)
-    except _RowError as exc:
-        line_no, line = _data_line(body, exc.row)
-        raise ParseError(line_no, _line_fault(line, fields) or exc.reason) from None
-
-
-def _read_blocks(stream, header: str, width: int) -> np.ndarray | None:
-    """The rows after an exact header, read in blocks of lines; None off the plain grammar.
-
-    readlines returns about _READ_CHARS characters of lines at a time. A
-    block must be plain (_PLAIN_BLOCK), so that np.loadtxt reads each field
-    as float() does; a block loadtxt rejects raises ValueError. Each block
-    is copied into one buffer that grows in place, so no block outlives the
-    next read.
-    """
-    if stream.readline() not in (header, header + "\n"):
-        return None
     data, n = np.empty((0, width)), 0
-    while lines := stream.readlines(_READ_CHARS):
-        if not _PLAIN_BLOCK.fullmatch("".join(lines)):
-            return None
-        if lines.count("\n") == len(lines):
-            continue  # only blank lines, which loadtxt would warn about
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        if rows.shape[1] != width:
-            return None
+    for lines in itertools.chain([lines], iter(lambda: source.readlines(_READ_CHARS), [])):
+        text, rows = "".join(lines), None
+        if _PLAIN_BLOCK.fullmatch(text) and lines.count("\n") < len(lines):
+            try:
+                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+        if rows is None or rows.shape[1] != width:
+            rows = np.fromiter(_floats(text.splitlines(), width), float).reshape(-1, width)
         if n + len(rows) > len(data):
             data.resize((max(2 * len(data), n + len(rows)), width), refcheck=False)
         data[n:n + len(rows)] = rows
@@ -341,29 +326,29 @@ def _read_blocks(stream, header: str, width: int) -> np.ndarray | None:
 def _parse(source, kind: type[_Columns]):
     """Parse CSV text or an open text file into a trace; the first faulty line raises ParseError.
 
-    Plain blocks (see _read_blocks) are parsed a block at a time. Anything
-    else, including a decode error, is parsed again from the start by
-    _parse_text, which gives every ParseError its line and wording.
+    A second read from the start only names the line of a rejected row or a decode error's offset.
     """
     if not isinstance(source, str) and not source.seekable():
-        source = source.read()  # a pipe: _parse_text or the line lookup reads it again
+        source = source.read()  # a pipe: the line lookup reads it again
     if isinstance(source, str):  # UTF-8 holds an ASCII character in one byte, io.StringIO in four
         encoded = io.BytesIO(source.encode("utf-8", "surrogatepass"))
         source = io.TextIOWrapper(encoded, "utf-8", "surrogatepass")
     fields = kind.record._fields
     start = source.tell()
     try:
-        data = _read_blocks(source, ",".join(fields), len(fields))
-    except ValueError:  # a block loadtxt rejects, or a UnicodeDecodeError
-        data = None
-    source.seek(start)
-    if data is None:
-        return _parse_text(source.read(), kind)
+        data = _read_rows(source, fields)
+    except UnicodeDecodeError:  # its offset counts from the decoder's last chunk
+        source.seek(start)
+        source.read()  # raises it again, its offset counted from the file's start
+        raise
     try:
         return kind(data)
-    except _RowError as exc:
-        source.readline()  # the header
-        line_no, line = _data_line(source, exc.row)
+    except _RowError as exc:  # blocks end at a line end; lines split as _read_rows splits them
+        source.seek(start)
+        blocks = iter(lambda: (source.read(_READ_CHARS) + source.readline()).splitlines(), [])
+        lines = enumerate(itertools.chain.from_iterable(blocks), start=1)
+        numbered = ((no, line) for no, line in lines if no > 1 and line.strip())
+        line_no, line = next(itertools.islice(numbered, exc.row, None))
         raise ParseError(line_no, _line_fault(line, fields) or exc.reason) from None
 
 
@@ -393,19 +378,14 @@ def format_csv(header: str, columns, out=None) -> str | None:
     return target.getvalue() if out is None else None
 
 
-def _as_columns(rows, record: type) -> np.ndarray:
-    """The columns of rows (a trace or any array-like of record-shaped rows), as float64."""
-    return np.asarray(rows, dtype=float).reshape(-1, len(record._fields)).T
-
-
 def format_metrics(samples, out=None) -> str | None:
     """Write metric samples as metrics CSV to out, or return it without out."""
-    return format_csv(METRICS_HEADER, _as_columns(samples, MetricSample), out)
+    return format_csv(METRICS_HEADER, _float_rows(samples, MetricTrace).T, out)
 
 
 def format_power(samples, out=None) -> str | None:
     """Write power samples as power CSV to out, or return it without out."""
-    return format_csv(POWER_HEADER, _as_columns(samples, PowerSample), out)
+    return format_csv(POWER_HEADER, _float_rows(samples, PowerTrace).T, out)
 
 
 def default_tolerance(metrics) -> float:

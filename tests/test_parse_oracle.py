@@ -181,12 +181,14 @@ def test_parse_power_in_blocks_agrees_with_oracle(opened, body, kind, chars):
 @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda char: f"U+{ord(char):04X}")
 def test_unicode_line_boundaries_agree_with_oracle(opened, kind, boundary):
     # a file opened with universal newlines splits only at \n, \r and \r\n; these
-    # split a line for str.splitlines(), and so for the oracle, in the header too
+    # split a line for str.splitlines(), and so for the oracle, in the header too;
+    # the last text has a range fault in a plain block after the boundary's block
     header = ",".join(POWER_FIELDS)
     for text in (f"{header}\n1,2{boundary}3,4\n5,6\n",
                  f"{header}\n1,2\n3,4{boundary}\n5,6{boundary}",
                  f"{header}{boundary}\n1,2\n3,1.5\n3,4\n",
-                 f"{header}{boundary}1,2\n3,4\n"):
+                 f"{header}{boundary}1,2\n3,4\n",
+                 f"{header}\n1,2{boundary}\n3,4\n5,6\n7,0\n8,9\n"):
         for chars in (1, 4, 1 << 16):
             assert_same_outcome_streamed(parse_power, oracle_parse_power, POWER_FIELDS, text,
                                          opened, kind, chars)

@@ -151,6 +151,25 @@ def test_trace_constructor_names_the_bad_row():
         PowerTrace([(0.0, 1.0, 2.0)])
 
 
+def test_rows_of_the_wrong_width_or_ragged_raise_trace_error():
+    # the writers once re-flowed any rows into the header's width
+    metric = MetricSample(0.0, 0.5, 1.0, 1.0, 1.0)
+    wrong = [
+        (format_power, [metric, metric._replace(timestamp=1.0)]),
+        (format_metrics, [(float(i), 100.0) for i in range(5)]),
+        (format_power, (0.0, 1.0)),
+        (format_power, np.empty((0, 5))),
+        (MetricTrace, [(0, 0.5, 1, 1, 1), (1, 0.5, 1, 1)]),
+        (PowerTrace, [(0, 1), (1,)]),
+        (format_power, [(0, 1), (1,)]),
+    ]
+    for make, rows in wrong:
+        with pytest.raises(TraceError, match=r"rows must have the fields \('timestamp', "):
+            make(rows)
+    assert format_power([]) == POWER_CSV
+    assert format_power(np.empty((0, 2))) == POWER_CSV
+
+
 def test_aligned_trace_checks_every_rule():
     meta = AlignmentMeta(n_metrics=2, n_power=2, n_dropped=0)
     good = AlignedRow(0.0, 0.5, 1.0, 1.0, 1.0, 100.0)
@@ -282,11 +301,21 @@ def test_file_parse_and_write_hold_under_three_times_the_trace(tmp_path):
     n = 200_000
     rng = np.random.default_rng(3)
     rows = np.column_stack([np.arange(n) * 0.5, rng.random(n), rng.random((n, 3)) * 1e6])
-    path, copy = tmp_path / "metrics.csv", tmp_path / "copy.csv"
+    path, copy, padded = (tmp_path / name for name in ("metrics.csv", "copy.csv", "padded.csv"))
     with path.open("w", encoding="utf-8") as out:
         format_metrics(rows, out)
+    # one field padded with spaces 10 lines from the end: only its block is read line by line
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[-10] = lines[-10].replace(",", ", ", 1)
+    padded.write_text("".join(lines), encoding="utf-8")
+    del lines
     tracemalloc.start()
     try:
+        with padded.open(encoding="utf-8") as fh:
+            parsed_padded = parse_metrics(fh)
+        padded_peak = tracemalloc.get_traced_memory()[1]
+        del parsed_padded
+        tracemalloc.reset_peak()
         with path.open(encoding="utf-8") as fh:
             parsed = parse_metrics(fh)
         read_peak = tracemalloc.get_traced_memory()[1]
@@ -297,7 +326,10 @@ def test_file_parse_and_write_hold_under_three_times_the_trace(tmp_path):
     finally:
         tracemalloc.stop()
     assert same_bits(parsed, rows)
+    with padded.open(encoding="utf-8") as fh:
+        assert same_bits(parse_metrics(fh), rows)
     assert copy.read_bytes() == path.read_bytes()
+    assert padded_peak < 3 * rows.nbytes, (padded_peak, rows.nbytes)
     assert read_peak < 3 * rows.nbytes, (read_peak, rows.nbytes)
     assert write_peak < 3 * rows.nbytes, (write_peak, rows.nbytes)
 
