@@ -175,11 +175,11 @@ def _float_rows(rows, kind: type[_Columns], copy=None) -> np.ndarray:
     fields = kind.record._fields
     try:
         data = np.array(rows, dtype=float, copy=copy)
-        if data.shape[1:] == (len(fields),) or data.shape == (0,):
-            return data.reshape(-1, len(fields))
     except ValueError:  # ragged rows, or a field that is not a number
-        pass
-    raise TraceError(f"{kind.__name__} rows must have the fields {fields}")
+        data = None
+    if data is None or (data.shape[1:] != (len(fields),) and data.shape != (0,)):
+        raise TraceError(f"{kind.__name__} rows must have the fields {fields}")
+    return data.reshape(-1, len(fields))
 
 
 class _Columns:
