@@ -39,10 +39,8 @@ from .simgen import PROFILES, FloorWarning, GroundTruth, SimConfig, SimConfigErr
 from .tariff import MAX_HORIZON_MONTHS
 from .tariff import BreakdownReport, CostProjection, Tariff, TariffError, breakdown, project_cost
 from .trace import (
-    AlignmentMeta,
     TraceError,
     _pair,
-    align,
     default_tolerance,
     format_csv,
     format_metrics,
@@ -136,8 +134,8 @@ def _check_tolerance(args) -> None:
         raise UsageError(f"--tolerance-s must be > 0, got {tolerance}")
 
 
-def _traces(args):
-    """(metrics, power, tolerance): --metrics and --power parsed, and the pairing window.
+def _paired(args):
+    """The pairing of --metrics with --power (trace._pair), its dropped samples counted on stderr.
 
     Without --tolerance-s the window is derived from the metrics and echoed.
     """
@@ -147,25 +145,16 @@ def _traces(args):
     if tolerance is None:
         tolerance = default_tolerance(metrics)
         print(f"tolerance_s = {tolerance:.6g} (half the median metric interval)", file=sys.stderr)
-    return metrics, power, tolerance
-
-
-def _report_dropped(meta: AlignmentMeta, tolerance: float) -> None:
-    """Count on stderr the metric samples left without a power sample, if any."""
+    pairing, meta = _pair(metrics, power, tolerance)
     if meta.n_dropped:
-        print(
-            f"dropped {meta.n_dropped} of {meta.n_metrics} metric samples "
-            f"(no power sample within {tolerance:.6g} s)",
-            file=sys.stderr,
-        )
+        print(f"dropped {meta.n_dropped} of {meta.n_metrics} metric samples "
+              f"(no power sample within {tolerance:.6g} s)", file=sys.stderr)
+    return pairing
 
 
 def cmd_fit(args) -> None:
     _check_tolerance(args)
-    metrics, power, tolerance = _traces(args)
-    pairing, meta = _pair(metrics, power, tolerance)
-    _report_dropped(meta, tolerance)
-    model = train(pairing, hardware_id=args.hardware_id)
+    model = train(_paired(args), hardware_id=args.hardware_id)
     document = save_model(model)
     Path(args.out).write_text(document, encoding="utf-8")
     print(f"model written to {args.out}", file=sys.stderr)
@@ -194,10 +183,7 @@ def cmd_predict(args) -> None:
 def cmd_evaluate(args) -> None:
     _check_tolerance(args)
     model = load_model(_read_text(args.model))
-    metrics, power, tolerance = _traces(args)
-    aligned = align(metrics, power, tolerance)
-    _report_dropped(aligned.source_meta, tolerance)
-    _print_json(dataclasses.asdict(evaluate(model, aligned)))
+    _print_json(dataclasses.asdict(evaluate(model, _paired(args))))
 
 
 def cmd_energy(args) -> None:

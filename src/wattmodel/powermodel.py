@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .regression import COLUMN_NAMES, DesignMatrix, FitDiagnostics, fit_ols
-from .trace import AlignedTrace, TraceError
+from .trace import AlignedTrace, TraceError, _paired_blocks
 
 __all__ = [
     "EvaluationReport",
@@ -33,10 +33,10 @@ __all__ = [
     "train",
 ]
 
-# train reads its rows in blocks of about this many. At this size OpenBLAS
-# runs a block's QR on the calling thread (0.03-0.05 ms for 1,024 rows by 6
-# columns on 2 vCPUs); from about 2,048 rows it hands the work to its worker
-# thread, and on a busy host such a QR sometimes waited 8 ms for it.
+# train and evaluate read rows in blocks of about this many. At this size
+# OpenBLAS runs a block's QR on the calling thread (0.03-0.05 ms for 1,024
+# rows by 6 columns on 2 vCPUs); from about 2,048 rows it hands the work to
+# its worker thread, and on a busy host such a QR sometimes waited 8 ms for it.
 BLOCK_ROWS = 1024
 
 
@@ -71,38 +71,20 @@ def train(
 ) -> PowerModel:
     """Fit the model to paired rows; the intercept is the baseline power.
 
-    trace is an AlignedTrace (or any object with its columns and a length),
-    or the pairing (metrics, power, metric_rows, power_rows) of a metric
-    trace and a power trace by row indices, as trace._pair gives it. The
-    rows are read in even blocks of about BLOCK_ROWS, so no more than one
-    block of the design is held at once.
+    trace is an AlignedTrace (or any object with its cpu, mem, disk, net and
+    power_w columns and a length), whose rows are sliced, or the pairing
+    (metrics, power, metric_rows, power_rows) that trace._pair gives, whose
+    rows are gathered. Either is read in even blocks of at least BLOCK_ROWS
+    (one block when there are fewer), so one block of the design is held at
+    a time and, given MIN_ROWS rows, none has fewer.
     """
-    coef, diagnostics = fit_ols(_designs(trace))
+    _, blocks = _paired_blocks(trace, BLOCK_ROWS)
+    coef, diagnostics = fit_ols(
+        DesignMatrix.from_regressors(b.cpu, b.mem, b.disk, b.net, power=b.power_w)
+        for _, b in blocks
+    )
     created_at = time.time() if created_at is None else created_at
     return PowerModel(*coef.tolist(), diagnostics, hardware_id, created_at)
-
-
-def _designs(trace):
-    """The DesignMatrix of each of train's row blocks, built as fit_ols asks for it.
-
-    With n >= BLOCK_ROWS rows every block has at least BLOCK_ROWS rows, so
-    none falls below MIN_ROWS; fewer rows make one block.
-    """
-    if isinstance(trace, tuple):
-        metrics, power, metric_rows, power_rows = trace
-        n = len(metric_rows)
-    else:  # row i of an aligned trace pairs its own columns
-        metrics, power, metric_rows, power_rows = trace, trace, None, None
-        n = len(trace)
-    blocks = max(1, n // BLOCK_ROWS)
-    for i in range(blocks):
-        rows = slice(n * i // blocks, n * (i + 1) // blocks)
-        m = rows if metric_rows is None else metric_rows[rows]
-        p = rows if power_rows is None else power_rows[rows]
-        yield DesignMatrix.from_regressors(
-            cpu=metrics.cpu[m], mem=metrics.mem[m], disk=metrics.disk[m], net=metrics.net[m],
-            power=power.power_w[p],
-        )
 
 
 def predict(model: PowerModel, sample):
@@ -114,6 +96,11 @@ def predict(model: PowerModel, sample):
     and the value is returned as computed. A prediction that is not finite
     raises ModelFormatError naming the first such row.
     """
+    return _predict(model, sample)
+
+
+def _predict(model: PowerModel, sample, first_row: int = 0):
+    """predict, numbering the rows of sample from first_row in its error."""
     with np.errstate(over="ignore", invalid="ignore"):
         watts = (
             model.alpha
@@ -124,36 +111,39 @@ def predict(model: PowerModel, sample):
         )
     bad = ~np.isfinite(watts)
     if bad.any():
-        raise ModelFormatError(f"model prediction for row {int(bad.argmax())} is not finite")
+        raise ModelFormatError(
+            f"model prediction for row {first_row + int(bad.argmax())} is not finite")
     return watts
 
 
-def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
-    """MAPE of predictions against metered power; accuracy = 100 - MAPE."""
-    if not len(trace):
+def evaluate(model: PowerModel, trace: AlignedTrace | tuple) -> EvaluationReport:
+    """MAPE of predictions against metered power; accuracy = 100 - MAPE.
+
+    trace is either form train takes, read in the same blocks; an error
+    names a row by its place among all the paired rows.
+    """
+    n, blocks = _paired_blocks(trace, BLOCK_ROWS)
+    if not n:
         raise TraceError("cannot evaluate on an empty trace")
+    errors, relative = np.empty(n), np.empty(n)
     with np.errstate(over="ignore"):
-        errors = np.abs(predict(model, trace) - trace.power_w)
-        relative = errors / trace.power_w
+        for rows, block in blocks:
+            np.abs(_predict(model, block, rows.start) - block.power_w, out=errors[rows])
+            np.divide(errors[rows], block.power_w, out=relative[rows])
         mape = 100.0 * float(np.mean(relative))
     if not math.isfinite(mape):
         overflowed = np.isinf(errors)
         if overflowed.any():
             raise TraceError(f"the prediction error for row {int(overflowed.argmax())} overflows")
         if not np.isfinite(relative).all():
-            raise TraceError(
-                f"MAPE is not finite; the smallest power_w is {trace.power_w.min():.6g} W")
+            smallest = min(b.power_w.min() for _, b in _paired_blocks(trace, BLOCK_ROWS)[1])
+            raise TraceError(f"MAPE is not finite; the smallest power_w is {smallest:.6g} W")
         # the sum overflowed: average the errors divided by a power of two, then scale back
         exponent = int(np.frexp(relative.max())[1])
         mape = 100.0 * float(np.ldexp(np.mean(np.ldexp(relative, -exponent)), exponent))
         if not math.isfinite(mape):
             raise TraceError("MAPE is not finite; the sum of the percent errors overflows")
-    return EvaluationReport(
-        mape=mape,
-        accuracy=100.0 - mape,
-        max_abs_error_w=float(errors.max()),
-        n=len(trace),
-    )
+    return EvaluationReport(mape, 100.0 - mape, max_abs_error_w=float(errors.max()), n=n)
 
 
 def save_model(model: PowerModel) -> str:

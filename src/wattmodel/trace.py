@@ -16,6 +16,10 @@ trace still has a length, indexes and iterates as row records
 (MetricSample, PowerSample, AlignedRow). CSV is read from text or an open
 text file in one pass, a block of lines at a time, and written to an open
 text file a block of rows at a time.
+
+_pair pairs each metric sample with its nearest power sample by row indices;
+_paired_blocks reads paired rows, by those indices or from an aligned trace,
+in blocks. align, and powermodel's train and evaluate, read through it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -105,10 +110,10 @@ METRICS_HEADER = ",".join(MetricSample._fields)
 POWER_HEADER = ",".join(PowerSample._fields)
 
 # The reader asks readlines for about this many characters of lines at a
-# time; the writer renders, and align gathers, this many rows at a time.
-# Small read blocks keep each block's lines and array from growing the heap
-# that align and the fit reuse: with 64 KiB blocks fit's peak RSS on 28,800
-# rows rose.
+# time; the writer renders this many rows at a time, and align pairs rows in
+# blocks of at least that many. Small read blocks keep each block's lines and
+# array from growing the heap that pairing and the fit reuse: with 64 KiB
+# blocks fit's peak RSS on 28,800 rows rose.
 _READ_CHARS = 1 << 13
 _WRITE_ROWS = 4096
 # On lines of only these characters, np.loadtxt reads each field as float() does.
@@ -424,17 +429,17 @@ def align(metrics, power, tolerance_s: float) -> AlignedTrace:
     power sample may serve several metric samples. Equidistant candidates
     resolve to the earlier power sample.
     """
-    (metrics, power, metric_rows, power_rows), meta = _pair(metrics, power, tolerance_s)
-    rows, data = np.empty((len(metric_rows), len(AlignedRow._fields))), np.asarray(metrics)
-    for start in range(0, len(rows), _WRITE_ROWS):  # no temporary array of all the rows
-        block = slice(start, start + _WRITE_ROWS)
-        rows[block, :-1] = data[metric_rows[block]]
-        rows[block, -1] = power.power_w[power_rows[block]]
-    return AlignedTrace(rows, source_meta=meta)
+    pairing, meta = _pair(metrics, power, tolerance_s)
+    n, blocks = _paired_blocks(pairing, _WRITE_ROWS, MetricSample._fields)
+    data = np.empty((n, len(AlignedRow._fields)))
+    for rows, block in blocks:
+        np.stack([getattr(block, name) for name in AlignedRow._fields], axis=1, out=data[rows])
+    del block  # its columns are freed before the trace copies data
+    return AlignedTrace(data, source_meta=meta)
 
 
 def _pair(metrics, power, tolerance_s: float):
-    """The pairing align builds its rows from: ((metrics, power, metric_rows, power_rows), meta).
+    """The pairing of metrics with power: ((metrics, power, metric_rows, power_rows), meta).
 
     metrics and power come back as traces; metric_rows indexes each metric
     sample kept and power_rows its power sample, by align's rule. meta
@@ -465,3 +470,25 @@ def _pair(metrics, power, tolerance_s: float):
     if not len(metric_rows):
         raise AlignmentError(tolerance_s, meta)
     return (metrics, power, metric_rows, power_rows), meta
+
+
+def _paired_blocks(pairs, block_rows: int, fields=MetricSample._fields[1:]):
+    """(n, blocks): the n paired rows of pairs in even blocks, none under block_rows unless n is.
+
+    pairs is a pairing (metrics, power, metric_rows, power_rows) from _pair, whose rows are
+    gathered, or an AlignedTrace (or any object with its columns and a length), whose rows are
+    sliced. blocks yields (rows, block): the slice of the paired rows, and their columns.
+    """
+    if not isinstance(pairs, tuple):  # row i of an aligned trace pairs its own columns
+        pairs = (pairs, pairs, None, None)
+    metrics, power, metric_rows, power_rows = pairs
+    n = len(metrics if metric_rows is None else metric_rows)
+    count = max(1, n // block_rows)
+
+    def block(rows):  # fields from metrics and power_w from power, at rows
+        m = rows if metric_rows is None else metric_rows[rows]
+        p = rows if power_rows is None else power_rows[rows]
+        columns = {name: getattr(metrics, name)[m] for name in fields}
+        return rows, SimpleNamespace(**columns, power_w=power.power_w[p])
+
+    return n, (block(slice(n * i // count, n * (i + 1) // count)) for i in range(count))

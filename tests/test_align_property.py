@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wattmodel import AlignmentError, MetricSample, PowerSample, align
+from wattmodel import trace as trace_module
 
 
 @st.composite
@@ -40,9 +41,7 @@ def brute_force_align(metric_ts, power_ts, watts, tolerance):
     return kept
 
 
-@settings(max_examples=300, deadline=None)
-@given(streams())
-def test_align_matches_brute_force_nearest_search(case):
+def check_align_against_brute_force(case):
     metric_ts, power_ts, tolerance = case
     watts = [100.0 + i for i in range(len(power_ts))]
     metrics = [MetricSample(t, 0.5, 1.0, 1.0, 1.0) for t in metric_ts]
@@ -59,3 +58,20 @@ def test_align_matches_brute_force_nearest_search(case):
     assert trace.source_meta.n_metrics == len(metric_ts)
     assert trace.source_meta.n_power == len(power_ts)
     assert trace.source_meta.n_dropped == len(metric_ts) - len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams())
+def test_align_matches_brute_force_nearest_search(case):
+    check_align_against_brute_force(case)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2])
+@settings(max_examples=300, deadline=None)
+@given(case=streams())
+def test_align_matches_brute_force_across_block_seams(block_rows, case):
+    # align reads its rows in blocks of at least trace._WRITE_ROWS (4,096), so
+    # at that size every example here is one block; smaller blocks check the seams
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_module, "_WRITE_ROWS", block_rows)
+        check_align_against_brute_force(case)

@@ -195,6 +195,24 @@ def test_fit_after_parsing_holds_less_than_the_aligned_rows(tmp_path, monkeypatc
     assert peak < n * len(AlignedRow._fields) * 8
 
 
+def test_evaluate_after_parsing_holds_less_than_two_aligned_copies(tmp_path, monkeypatch, capsys):
+    # evaluate pairs the traces as fit does and reads the pairs in blocks; it
+    # holds whole only the row indices and the absolute and relative errors
+    n = 200_000
+    parsed_pair(monkeypatch, n)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(save_model(exact_model(107.5, beta_cpu=124.9)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert main(["evaluate", "--model", str(model_path), "--metrics", "m.csv",
+                     "--power", "p.csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["n"] == n
+    assert peak < 2 * n * len(AlignedRow._fields) * 8
+
+
 def test_predict_writes_its_columns_without_stacking_them(tmp_path, monkeypatch):
     n = 200_000
     parsed_pair(monkeypatch, n)

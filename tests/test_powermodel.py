@@ -30,8 +30,8 @@ from wattmodel import (
     train,
 )
 from wattmodel import powermodel
-from wattmodel.powermodel import BLOCK_ROWS, _designs
-from wattmodel.trace import _pair
+from wattmodel.powermodel import BLOCK_ROWS
+from wattmodel.trace import _pair, _paired_blocks
 
 
 def simulated_trace(noise=0.0, seed=1, n=720, profile="bursty", truth=REF_TRUTH):
@@ -97,7 +97,8 @@ def test_train_reads_even_blocks_of_at_least_block_rows():
     metrics, power = blocked_pair()
     for n in (6, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 3 * BLOCK_ROWS + 100):
         rows = np.arange(n)
-        sizes = [design.n for design in _designs((metrics, power, rows, rows))]
+        _, blocks = _paired_blocks((metrics, power, rows, rows), BLOCK_ROWS)
+        sizes = [len(block.power_w) for _, block in blocks]
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
         assert min(sizes) >= BLOCK_ROWS or sizes == [n]
@@ -105,7 +106,7 @@ def test_train_reads_even_blocks_of_at_least_block_rows():
 
 def test_blocked_train_matches_one_block_train(monkeypatch):
     pairing, _ = _pair(*blocked_pair(), 0.5)
-    assert len(list(_designs(pairing))) == 3
+    assert len(list(_paired_blocks(pairing, BLOCK_ROWS)[1])) == 3
     blocked = train(pairing, created_at=0.0)
     monkeypatch.setattr(powermodel, "BLOCK_ROWS", 10**9)
     whole = train(pairing, created_at=0.0)
@@ -229,6 +230,54 @@ def test_evaluate_subnormal_power_is_trace_error():
     trace = make_trace([0, 0], [0, 0], [0, 0], [0, 0], [1e-310, 1e-310])
     with pytest.raises(TraceError, match="MAPE is not finite; the smallest power_w is 1e-310 W"):
         evaluate(exact_model(100.0), trace)
+
+
+def test_evaluate_on_a_pairing_is_evaluate_on_its_aligned_trace():
+    metrics, power = blocked_pair()
+    pairing, _ = _pair(metrics, power, 0.5)
+    trace = align(metrics, power, 0.5)
+    assert len(list(_paired_blocks(pairing, BLOCK_ROWS)[1])) == 3
+    # with the second model, adding up the blocks' sums of percent errors changes the last bit
+    for model in (train(pairing), exact_model(150.0)):
+        pred, p = predict(model, trace), trace.power_w
+        reference = 100 * np.mean(abs(pred - p) / p)  # over the whole columns at once
+        for report in (evaluate(model, pairing), evaluate(model, trace)):
+            assert report.mape.hex() == float(reference).hex()
+            assert report.max_abs_error_w == np.max(abs(pred - p))
+            assert report.n == len(trace)
+
+
+@pytest.mark.parametrize("aligned", [False, True])
+def test_evaluate_names_a_row_past_the_first_block_by_its_paired_row(aligned):
+    metrics, power = blocked_pair()
+    rows = np.array(metrics)
+    rows[:, 4] = 0.0  # net
+    rows[2500, 4] = 1e10  # metric rows 1000-1499 find no power sample: this is paired row 2000
+    pairing, _ = _pair(MetricTrace(rows), power, 0.5)
+    assert pairing[2][2000] == 2500
+    trace = align(MetricTrace(rows), power, 0.5) if aligned else pairing
+    with pytest.raises(ModelFormatError, match="^model prediction for row 2000 is not finite$"):
+        evaluate(exact_model(100.0, beta_net=1e300), trace)
+
+
+class ColumnsOnly:
+    """The other input the README documents: cpu, mem, disk, net and power_w columns, a length."""
+
+    def __init__(self, trace):
+        for name in ("cpu", "mem", "disk", "net", "power_w"):
+            setattr(self, name, np.array(getattr(trace, name)))
+
+    def __len__(self):
+        return len(self.power_w)
+
+
+def test_train_and_evaluate_take_columns_and_a_length():
+    trace = align(*blocked_pair(), 0.5)
+    columns = ColumnsOnly(trace)
+    assert not hasattr(columns, "timestamp")
+    model = train(columns, created_at=0.0)
+    assert model == train(trace, created_at=0.0)
+    assert evaluate(model, columns) == evaluate(model, trace)
 
 
 def test_predict_on_a_trace_matches_each_record():
