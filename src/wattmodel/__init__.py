@@ -5,22 +5,33 @@ to paired utilization/power-meter traces, evaluates prediction accuracy,
 integrates watts into kWh, and projects multi-year cost under an
 escalating tariff. A synthetic trace generator with a portable seeded RNG
 closes the loop for testing.
+
+The package exports the union of its modules' `__all__` lists. They load
+on first use (PEP 562), so `import wattmodel` alone imports no numpy, and
+`python -m wattmodel` can choose numpy's BLAS threads before it loads.
 """
 
-from .energy import *
-from .powermodel import *
-from .regression import *
-from .simgen import *
-from .tariff import *
-from .trace import *
-from . import energy, powermodel, regression, simgen, tariff, trace
+import importlib
 
 __version__ = "0.1.0"
 
-__all__: list[str] = []
-__all__ += energy.__all__
-__all__ += powermodel.__all__
-__all__ += regression.__all__
-__all__ += simgen.__all__
-__all__ += tariff.__all__
-__all__ += trace.__all__
+_MODULES = ("energy", "powermodel", "regression", "simgen", "tariff", "trace")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if "__all__" not in globals():
+        exported = []
+        for module in map(__getattr__, _MODULES):
+            globals().update((n, getattr(module, n)) for n in module.__all__)
+            exported += module.__all__
+        globals()["__all__"] = exported
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__"), *_MODULES})

@@ -33,10 +33,14 @@ __all__ = [
     "train",
 ]
 
-# train and evaluate read rows in blocks of about this many. At this size
-# OpenBLAS runs a block's QR on the calling thread (0.03-0.05 ms for 1,024
-# rows by 6 columns on 2 vCPUs); from about 2,048 rows it hands the work to
-# its worker thread, and on a busy host such a QR sometimes waited 8 ms for it.
+# train and evaluate read rows in blocks of about this many. In a library
+# caller's process, which keeps numpy's default BLAS threads, OpenBLAS runs a
+# block's QR of this size on the calling thread (0.03-0.05 ms for 1,024 rows
+# by 6 columns on 2 vCPUs); from about 2,048 rows it hands the work to its
+# worker thread, and on a busy host such a QR sometimes waited 8 ms for it.
+# The CLI runs with one BLAS thread, where every block QR stays on the caller;
+# there 4,096-row blocks train on 864k rows 18 ms faster (0.122 against 0.140 s),
+# too little to move the last bits of every fit over 2,048 rows.
 BLOCK_ROWS = 1024
 
 

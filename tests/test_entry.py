@@ -1,0 +1,148 @@
+"""The package and the process around the CLI: lazy exports, BLAS threads, exit path."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wattmodel
+from wattmodel import energy, powermodel, regression, simgen, tariff, trace
+from wattmodel.cli import main
+
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+GOLDEN_MODEL = Path(__file__).parent / "golden" / "model.json"
+
+
+def child_env(**given):
+    """This environment with buffered standard streams and no BLAS thread setting."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
+    return dict(env, PYTHONPATH=str(Path(wattmodel.__file__).parents[1]), **given)
+
+
+def test_import_wattmodel_loads_no_numpy_and_sets_nothing():
+    code = ("import os, sys, wattmodel\n"
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "from wattmodel import *\n"
+            "print(len(wattmodel.__all__), parse_power.__module__, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert done.stdout == "False None\n52 wattmodel.trace True\n", done.stderr
+
+
+def test_package_exports_the_union_of_its_modules_all():
+    names = [name for module in (energy, powermodel, regression, simgen, tariff, trace)
+             for name in module.__all__]
+    assert len(names) == 52
+    assert wattmodel.__all__ == names
+    namespace = {}
+    exec("from wattmodel import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == {name: getattr(wattmodel, name) for name in names}
+    assert set(names) <= set(dir(wattmodel))
+    assert wattmodel.trace.parse_power is wattmodel.parse_power
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        wattmodel.no_such_name
+
+
+# Runs `python -m wattmodel` with os._exit replaced by a recorder, which prints
+# the exit code, the process's thread count with numpy loaded, and the setting.
+THREADS_PROBE = """
+import os, runpy, sys
+
+def record(code):
+    import numpy
+    with open("/proc/self/status") as status:
+        threads = next(line for line in status if line.startswith("Threads:")).split()[1]
+    print(code, threads, os.environ.get("OPENBLAS_NUM_THREADS"))
+
+os._exit = record
+sys.argv = ["wattmodel", "cost", "--kwh-per-day", "1", "--rate", "0.1", "--months", "1"]
+runpy.run_module("wattmodel", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                    reason="reads /proc/self/status; OpenBLAS starts a worker per extra CPU")
+@pytest.mark.parametrize("given, threads", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_module_entry_gives_numpy_one_blas_thread_unless_set(given, threads):
+    done = subprocess.run([sys.executable, "-c", THREADS_PROBE], capture_output=True, text=True,
+                          env=child_env(**given))
+    assert done.stdout.splitlines()[-1] == f"0 {threads} {threads}", done.stderr
+
+
+def test_console_script_runs_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with PYPROJECT.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["wattmodel"]
+    module, _, name = target.partition(":")
+    entry = importlib.import_module("wattmodel.__main__")  # runs nothing when imported
+    assert getattr(importlib.import_module(module), name) is entry.run
+
+
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory):
+    """A 4,000-row bursty pair, its constant-load twin (rank deficient) and a model path."""
+    folder = tmp_path_factory.mktemp("entry")
+    paths = {name: str(folder / f"{name}.csv") for name in ("m", "p", "flat_m", "flat_p")}
+    for profile, m, p in (("bursty", "m", "p"), ("constant", "flat_m", "flat_p")):
+        assert main(["simulate", "--profile", profile, "--duration-s", "240000",
+                     "--interval-s", "60", "--noise-w", "2",
+                     "--out-metrics", paths[m], "--out-power", paths[p]]) == 0
+    paths["model"] = str(folder / "model.json")
+    paths["missing"] = str(folder / "missing.csv")
+    return paths
+
+
+COMMANDS = {
+    "help": (0, ["--help"]),
+    "fit": (0, ["fit", "--metrics", "{m}", "--power", "{p}", "--out", "{model}"]),
+    "predict_to_stdout": (0, ["predict", "--model", str(GOLDEN_MODEL), "--metrics", "{m}",
+                              "--out", "/dev/stdout"]),
+    "cost_1000_years": (0, ["cost", "--kwh-per-day", "15.73", "--rate", "0.14",
+                            "--escalation", "0.01", "--months", "12000", "--json"]),
+    "usage": (1, ["fit", "--metrics", "{m}", "--power", "{p}", "--out", "{model}",
+                  "--tolerance-s", "nan"]),
+    "data": (2, ["energy", "--power", "{missing}"]),
+    "numeric": (3, ["fit", "--metrics", "{flat_m}", "--power", "{flat_p}", "--out", "{model}"]),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="predict writes to /dev/stdout")
+@pytest.mark.parametrize("command", COMMANDS)
+def test_module_entry_writes_what_main_writes(command, traces, capfdbinary):
+    expected_code, argv = COMMANDS[command]
+    argv = [arg.format(**traces) for arg in argv]
+    assert main(argv) == expected_code
+    out, err = capfdbinary.readouterr()
+    done = subprocess.run([sys.executable, "-m", "wattmodel", *argv], capture_output=True,
+                          env=child_env())
+    assert (done.returncode, done.stdout, done.stderr) == (expected_code, out, err)
+    if command in ("predict_to_stdout", "cost_1000_years"):
+        assert len(out) > 64 * 1024  # more than a pipe holds, so a lost buffer shows
+
+
+def test_stdout_that_cannot_be_flushed_is_a_data_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "wattmodel", "cost", "--kwh-per-day", "1", "--rate", "0.1",
+             "--months", "12"],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env())
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == b"wattmodel: data error: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_ends_as_at_exit(traces):
+    # with fd 1 closed sys.stdout is None, and print writes nothing
+    done = subprocess.run(
+        [sys.executable, "-m", "wattmodel", "energy", "--power", traces["p"]],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=child_env(), preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (0, b"")
