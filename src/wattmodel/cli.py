@@ -80,7 +80,8 @@ def _parse_file(parse, path: str):
 
 
 def _styling_enabled() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("WATT_NO_COLOR")
+    # sys.stdout is None when the process started with no fd 1
+    return sys.stdout is not None and sys.stdout.isatty() and not os.environ.get("WATT_NO_COLOR")
 
 
 def _print_table(text: str) -> None:
@@ -310,8 +311,22 @@ def cmd_simulate(args) -> None:
         print(describe(config))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failed write to stdout raises, as a failed flush of it does.
+
+    argparse drops the OSError of every write it makes, so help that never reached an
+    unbuffered stdout (a full device, say) would exit 0 with nothing said.
+    """
+
+    def _print_message(self, message, file=None):
+        if file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wattmodel",
         description="Train server power models from utilization and meter "
         "traces, predict watts, and project energy cost.",
@@ -383,16 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems; this tool reserves 2 for data errors
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             # the tool's own warnings are diagnostics, whatever -W or PYTHONWARNINGS say
             for category in (GapWarning, FloorWarning):
                 warnings.simplefilter("default", category)
             args.func(args)
+    except SystemExit as exc:
+        # argparse exits 2 on usage problems; this tool reserves 2 for data errors
+        return EXIT_USAGE if exc.code else EXIT_OK
     except (UsageError, SimConfigError) as exc:
         print(f"wattmodel: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -211,7 +211,7 @@ def generate(config: SimConfig) -> tuple[MetricTrace, PowerTrace]:
     ).reshape(n, -1)
 
     t = np.arange(n)[:, None] * config.interval_s
-    metrics = MetricTrace(np.column_stack([t, _regressors(config, t, phases, draws[:, :4])]))
+    metrics = MetricTrace._adopt(np.column_stack([t, _regressors(config, t, phases, draws[:, :4])]))
     watts = predict(config.truth, metrics)
     if sigma > 0.0:
         watts += sigma * draws[:, -1]
@@ -223,4 +223,4 @@ def generate(config: SimConfig) -> tuple[MetricTrace, PowerTrace]:
             FloorWarning,
             stacklevel=2,
         )
-    return metrics, PowerTrace(np.column_stack([metrics.timestamp, watts]))
+    return metrics, PowerTrace._adopt(np.column_stack([metrics.timestamp, watts]))

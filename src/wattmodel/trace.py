@@ -10,16 +10,19 @@ Both streams must be strictly increasing in time: duplicate timestamps make
 "nearest sample" pairing ambiguous and are rejected.
 
 A trace is held as read-only float64 columns (MetricTrace, PowerTrace,
-AlignedTrace). Each is built from rows by one constructor, which checks the
-rules above once; each field is a column under the field's name, and the
-trace still has a length, indexes and iterates as row records
-(MetricSample, PowerSample, AlignedRow). CSV is read from text or an open
-text file in one pass, a block of lines at a time, and written to an open
-text file a block of rows at a time.
+AlignedTrace). Each is built from rows by one constructor, which copies them
+and checks the rules above once; the parser, align and simgen hand the array
+they have just filled to the trace instead, which checks it as the
+constructor does and holds it without a copy. Each field is a column under
+the field's name, and the trace still has a length, indexes and iterates as
+row records (MetricSample, PowerSample, AlignedRow). CSV is read from text
+or an open text file in one pass, a block of lines at a time, and written
+to an open text file a block of rows at a time.
 
-_pair pairs each metric sample with its nearest power sample by row indices;
-_paired_blocks reads paired rows, by those indices or from an aligned trace,
-in blocks. align, and powermodel's train and evaluate, read through it.
+_pair pairs each metric sample with its nearest power sample by row indices,
+walking the metric timestamps in blocks; _paired_blocks reads paired rows,
+by those indices or from an aligned trace, in blocks. align, and
+powermodel's train and evaluate, read through it.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ POWER_HEADER = ",".join(PowerSample._fields)
 # blocks fit's peak RSS on 28,800 rows rose.
 _READ_CHARS = 1 << 13
 _WRITE_ROWS = 4096
+# _pair walks the metric timestamps this many at a time.
+_PAIR_ROWS = 4096
 # On lines of only these characters, np.loadtxt reads each field as float() does.
 _PLAIN_BLOCK = re.compile(r"[0-9.eE+\-,\n]*")
 
@@ -198,8 +203,22 @@ class _Columns:
     record: type  # the NamedTuple a row converts to
 
     def __init__(self, rows=()):
+        self._hold(_float_rows(rows, type(self), copy=True))
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, **attributes):
+        """A cls holding the fresh float64 array data itself, checked and frozen as __init__ does.
+
+        For an array that only its maker holds, which must not write to it again; attributes
+        are set on the trace.
+        """
+        trace = cls.__new__(cls)
+        trace._hold(_float_rows(data, cls))
+        vars(trace).update(attributes)
+        return trace
+
+    def _hold(self, data: np.ndarray) -> None:
         fields = self.record._fields
-        data = _float_rows(rows, type(self), copy=True)
         problem = _first_invalid_row(data, fields)
         if problem:
             raise _RowError(*problem)
@@ -347,7 +366,7 @@ def _parse(source, kind: type[_Columns]):
         source.read()  # raises it again, its offset counted from the file's start
         raise
     try:
-        return kind(data)
+        return kind._adopt(data)
     except _RowError as exc:  # blocks end at a line end; lines split as _read_rows splits them
         source.seek(start)
         blocks = iter(lambda: (source.read(_READ_CHARS) + source.readline()).splitlines(), [])
@@ -434,8 +453,7 @@ def align(metrics, power, tolerance_s: float) -> AlignedTrace:
     data = np.empty((n, len(AlignedRow._fields)))
     for rows, block in blocks:
         np.stack([getattr(block, name) for name in AlignedRow._fields], axis=1, out=data[rows])
-    del block  # its columns are freed before the trace copies data
-    return AlignedTrace(data, source_meta=meta)
+    return AlignedTrace._adopt(data, source_meta=meta)
 
 
 def _pair(metrics, power, tolerance_s: float):
@@ -449,25 +467,31 @@ def _pair(metrics, power, tolerance_s: float):
         raise TraceError(f"tolerance_s must be a positive number, got {tolerance_s}")
     metrics, power = MetricTrace.of(metrics), PowerTrace.of(power)
 
-    stamps = metrics.timestamp
-    # power timestamps padded so every metric sample has a neighbour each side
-    padded = np.concatenate(([-np.inf], power.timestamp, [np.inf]))
-    after = np.searchsorted(power.timestamp, stamps)  # first power sample at or after
-    with np.errstate(over="ignore"):  # a gap past the float range is past any tolerance
-        gap = stamps - padded[after]  # to the power sample before
-        later_gap = padded[1:][after]
-        later_gap -= stamps
-    take_earlier = gap <= later_gap
-    np.minimum(gap, later_gap, out=gap)
-    keep = gap <= tolerance_s
-    del padded, gap, later_gap  # freed before the row indices are made: this is fit's peak
-    metric_rows = np.flatnonzero(keep)
-    power_rows = np.subtract(after, take_earlier, out=after)[metric_rows]
+    stamps, power_stamps = metrics.timestamp, power.timestamp
+    metric_rows = np.empty(len(stamps), dtype=np.intp)
+    power_rows = np.empty(len(stamps), dtype=np.intp)
+    kept = 0
+    # with no power sample, no metric sample is kept
+    for start in range(0, len(stamps) if len(power) else 0, _PAIR_ROWS):
+        block = stamps[start:start + _PAIR_ROWS]
+        later = np.searchsorted(power_stamps, block)  # first power sample at or after
+        earlier = np.maximum(later - 1, 0)
+        # before the first or after the last power sample, both neighbours are that sample
+        np.minimum(later, len(power) - 1, out=later)
+        with np.errstate(over="ignore"):  # a gap past the float range is past any tolerance
+            gap = np.abs(block - power_stamps[earlier])
+            later_gap = np.abs(power_stamps[later] - block)
+        np.copyto(earlier, later, where=later_gap < gap)  # a tie goes to the earlier sample
+        np.minimum(gap, later_gap, out=gap)
+        rows = np.flatnonzero(gap <= tolerance_s)
+        np.add(rows, start, out=metric_rows[kept:kept + len(rows)])
+        np.take(earlier, rows, out=power_rows[kept:kept + len(rows)])
+        kept += len(rows)
+    metric_rows.resize(kept, refcheck=False)
+    power_rows.resize(kept, refcheck=False)
 
-    meta = AlignmentMeta(
-        n_metrics=len(metrics), n_power=len(power), n_dropped=len(metrics) - len(metric_rows)
-    )
-    if not len(metric_rows):
+    meta = AlignmentMeta(n_metrics=len(metrics), n_power=len(power), n_dropped=len(metrics) - kept)
+    if not kept:
         raise AlignmentError(tolerance_s, meta)
     return (metrics, power, metric_rows, power_rows), meta
 

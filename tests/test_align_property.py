@@ -2,9 +2,11 @@
 
 Timestamps are multiples of 0.5 s (plus an optional epoch-sized offset), so
 every difference is exact in float64 and a metric stamp halfway between two
-power stamps is a true tie. The reference scans every power sample: the
-smallest distance wins, a tie goes to the earlier power sample, and a row is
-kept when its distance is at most the tolerance.
+power stamps is a true tie. A few stamps lie near either end of the float
+range, so their distances to the others overflow to infinity, past any
+tolerance. The reference scans every power sample: the smallest distance
+wins, a tie goes to the earlier power sample, and a row is kept when its
+distance is at most the tolerance.
 """
 
 import pytest
@@ -19,7 +21,6 @@ from wattmodel import trace as trace_module
 def streams(draw):
     offset = draw(st.sampled_from((0.0, 1.7e9)))
     ticks = sorted(draw(st.lists(st.integers(-500, 500), min_size=1, max_size=30, unique=True)))
-    power_ts = [offset + t for t in ticks]
     stamps = {offset + h / 2 for h in draw(st.lists(st.integers(-1100, 1100), max_size=30))}
     if len(ticks) > 1:
         # metric stamps exactly halfway between two neighbouring power stamps
@@ -27,8 +28,15 @@ def streams(draw):
         stamps.update(offset + (ticks[i] + ticks[i + 1]) / 2 for i in picks)
     if not stamps:
         stamps.add(offset)
+    # stamps near either end of the float range; a meter with only those
+    # leaves neighbours whose distance overflows
+    far = st.sets(st.sampled_from((-1.7e308, -1e308, 1e308, 1.7e308)), max_size=2)
+    stamps.update(draw(far))
+    power_ts = draw(far)
+    if not power_ts or draw(st.integers(0, 3)):
+        power_ts.update(offset + t for t in ticks)
     tolerance = draw(st.integers(1, 40)) / 4
-    return sorted(stamps), power_ts, tolerance
+    return sorted(stamps), sorted(power_ts), tolerance
 
 
 def brute_force_align(metric_ts, power_ts, watts, tolerance):
@@ -74,4 +82,15 @@ def test_align_matches_brute_force_across_block_seams(block_rows, case):
     # at that size every example here is one block; smaller blocks check the seams
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace_module, "_WRITE_ROWS", block_rows)
+        check_align_against_brute_force(case)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@settings(max_examples=300, deadline=None)
+@given(case=streams())
+def test_align_matches_brute_force_across_pairing_blocks(block_rows, case):
+    # _pair walks the metric stamps trace._PAIR_ROWS (4,096) at a time and
+    # compacts the kept rows in place; smaller walks check that compaction
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_module, "_PAIR_ROWS", block_rows)
         check_align_against_brute_force(case)

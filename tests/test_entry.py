@@ -146,3 +146,27 @@ def test_closed_stdout_ends_as_at_exit(traces):
         stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         env=child_env(), preexec_fn=lambda: os.close(1))
     assert (done.returncode, done.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("command", ["cost", "fit"])
+def test_closed_stdout_ends_a_table_command_as_at_exit(command, traces):
+    # a table asks sys.stdout whether it is a terminal, and with fd 1 closed it is None
+    argv = {"cost": ["cost", "--kwh-per-day", "1", "--rate", "0.1", "--months", "12"],
+            "fit": ["fit", "--metrics", traces["m"], "--power", traces["p"],
+                    "--out", traces["model"]]}[command]
+    ends = [subprocess.run(
+        [sys.executable, "-m", "wattmodel", *argv],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=child_env(), preexec_fn=close) for close in (None, lambda: os.close(1))]
+    assert [(done.returncode, done.stderr) for done in ends] == [(0, ends[0].stderr)] * 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+@pytest.mark.parametrize("given", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+def test_help_to_a_full_device_is_a_data_error(given):
+    # buffered, the write fails at the last flush; unbuffered, in argparse, which drops the error
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "wattmodel", "--help"],
+                              stdout=full, stderr=subprocess.PIPE, env=child_env(**given))
+    assert done.returncode == 2
+    assert done.stderr == b"wattmodel: data error: [Errno 28] No space left on device\n"

@@ -144,6 +144,21 @@ def test_trace_columns_are_read_only():
         np.asarray(trace)[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("kind, args", [
+    (MetricTrace, ()),
+    (PowerTrace, ()),
+    (AlignedTrace, (AlignmentMeta(n_metrics=3, n_power=3, n_dropped=0),)),
+])
+def test_trace_constructors_copy_the_callers_array(kind, args):
+    rows = np.column_stack([np.arange(3.0), np.full((3, len(kind.record._fields) - 1), 0.5)])
+    assert rows.flags.owndata and rows.flags.writeable
+    trace = kind(rows, *args)
+    rows[:] = 0.25
+    assert rows.flags.writeable
+    assert np.asarray(trace)[:, 0].tolist() == [0.0, 1.0, 2.0]
+    assert (np.asarray(trace)[:, 1:] == 0.5).all()
+
+
 def test_trace_constructor_names_the_bad_row():
     with pytest.raises(TraceError, match="row 2: duplicate timestamp 1.0"):
         PowerTrace([(0.0, 1.0), (1.0, 1.0), (1.0, 2.0)])
@@ -332,6 +347,8 @@ def test_file_parse_and_write_hold_under_three_times_the_trace(tmp_path):
     assert padded_peak < 3 * rows.nbytes, (padded_peak, rows.nbytes)
     assert read_peak < 3 * rows.nbytes, (read_peak, rows.nbytes)
     assert write_peak < 3 * rows.nbytes, (write_peak, rows.nbytes)
+    # the trace holds the parser's buffer itself: the peak is that buffer's growth
+    assert read_peak < 2 * rows.nbytes, (read_peak, rows.nbytes)
 
 
 # ------------------------------------------------------------- alignment
@@ -365,6 +382,28 @@ def test_align_out_of_tolerance_raises_with_counts():
     assert err.n_metrics == 1
     assert err.n_power == 1
     assert err.n_dropped == 1
+    with pytest.raises(AlignmentError) as exc_info:
+        align(grid_metrics([5.0, 6.0]), [], 0.5)
+    assert (exc_info.value.n_power, exc_info.value.n_dropped) == (0, 2)
+
+
+def test_pair_holds_under_three_and_a_half_index_arrays():
+    # _pair walks the metric timestamps in blocks: its whole-length arrays are
+    # the kept metric rows and their power rows
+    n = 200_000
+    stamps = np.arange(n) * 2.0
+    metrics = MetricTrace(np.column_stack([stamps, np.full((n, 4), 0.5)]))
+    power = PowerTrace(np.column_stack([stamps[::2] + 0.5, np.full(n // 2, 100.0)]))
+    tracemalloc.start()
+    try:
+        (_, _, metric_rows, power_rows), meta = trace._pair(metrics, power, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert metric_rows.tolist() == list(range(0, n, 2))
+    assert power_rows.tolist() == list(range(n // 2))
+    assert meta.n_dropped == n // 2
+    assert peak < 3.5 * n * 8, peak / (n * 8)
 
 
 def test_align_identical_grids_is_lossless():
