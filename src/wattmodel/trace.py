@@ -196,7 +196,8 @@ class _Columns:
     """Rows of one record type, held as read-only float64 columns.
 
     Built from any array-like of rows (records, tuples, a 2-D array, another
-    trace); the rows are copied and checked once. Each field is a column
+    trace); the rows are copied and checked once. _adopt checks a fresh array
+    the same way and holds it without the copy. Each field is a column
     attribute of the same name.
     """
 
