@@ -315,14 +315,15 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose failed write to stdout raises, as a failed flush of it does.
 
     argparse drops the OSError of every write it makes, so help that never reached an
-    unbuffered stdout (a full device, say) would exit 0 with nothing said.
+    unbuffered stdout (a full device, say) would exit 0 with nothing said. Help for a
+    missing stdout (file None, which argparse would send to stderr) is not written.
     """
 
     def _print_message(self, message, file=None):
-        if file is not None and file is sys.stdout:
-            file.write(message)
-        else:
+        if file is not sys.stdout:
             super()._print_message(message, file)
+        elif file is not None:
+            file.write(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

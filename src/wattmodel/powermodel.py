@@ -77,8 +77,8 @@ def train(
 
     trace is an AlignedTrace (or any object with its cpu, mem, disk, net and
     power_w columns and a length), whose rows are sliced, or the pairing
-    (metrics, power, metric_rows, power_rows) that trace._pair gives, whose
-    rows are gathered. Either is read in even blocks of at least BLOCK_ROWS
+    that trace._pair gives, whose rows are paired again and gathered as the
+    blocks are read. Either is read in even blocks of at least BLOCK_ROWS
     (one block when there are fewer), so one block of the design is held at
     a time and, given MIN_ROWS rows, none has fewer.
     """
@@ -129,16 +129,18 @@ def evaluate(model: PowerModel, trace: AlignedTrace | tuple) -> EvaluationReport
     n, blocks = _paired_blocks(trace, BLOCK_ROWS)
     if not n:
         raise TraceError("cannot evaluate on an empty trace")
-    errors, relative = np.empty(n), np.empty(n)
+    relative, largest, overflowed = np.empty(n), 0.0, None  # overflowed: the first inf error's row
     with np.errstate(over="ignore"):
         for rows, block in blocks:
-            np.abs(_predict(model, block, rows.start) - block.power_w, out=errors[rows])
-            np.divide(errors[rows], block.power_w, out=relative[rows])
+            errors = np.abs(_predict(model, block, rows.start) - block.power_w)
+            largest = max(largest, float(errors.max()))
+            if overflowed is None and math.isinf(largest):
+                overflowed = rows.start + int(np.isinf(errors).argmax())
+            np.divide(errors, block.power_w, out=relative[rows])
         mape = 100.0 * float(np.mean(relative))
     if not math.isfinite(mape):
-        overflowed = np.isinf(errors)
-        if overflowed.any():
-            raise TraceError(f"the prediction error for row {int(overflowed.argmax())} overflows")
+        if overflowed is not None:
+            raise TraceError(f"the prediction error for row {overflowed} overflows")
         if not np.isfinite(relative).all():
             smallest = min(b.power_w.min() for _, b in _paired_blocks(trace, BLOCK_ROWS)[1])
             raise TraceError(f"MAPE is not finite; the smallest power_w is {smallest:.6g} W")
@@ -147,7 +149,7 @@ def evaluate(model: PowerModel, trace: AlignedTrace | tuple) -> EvaluationReport
         mape = 100.0 * float(np.ldexp(np.mean(np.ldexp(relative, -exponent)), exponent))
         if not math.isfinite(mape):
             raise TraceError("MAPE is not finite; the sum of the percent errors overflows")
-    return EvaluationReport(mape, 100.0 - mape, max_abs_error_w=float(errors.max()), n=n)
+    return EvaluationReport(mape, 100.0 - mape, max_abs_error_w=largest, n=n)
 
 
 def save_model(model: PowerModel) -> str:

@@ -19,9 +19,10 @@ row records (MetricSample, PowerSample, AlignedRow). CSV is read from text
 or an open text file in one pass, a block of lines at a time, and written
 to an open text file a block of rows at a time.
 
-_pair pairs each metric sample with its nearest power sample by row indices,
-walking the metric timestamps in blocks; _paired_blocks reads paired rows,
-by those indices or from an aligned trace, in blocks. align, and
+_pair pairs each metric sample with its nearest power sample, walking the
+metric timestamps in blocks, and keeps only how many rows each block kept;
+_paired_blocks reads the paired rows in blocks, pairing those metric blocks
+again as it goes, or slices them from an aligned trace. align, and
 powermodel's train and evaluate, read through it.
 """
 
@@ -158,24 +159,26 @@ def _first_invalid_row(data: np.ndarray, fields: tuple[str, ...]):
     """(row, reason) for the first row that breaks a rule, else None.
 
     Within a row, a non-finite field comes first, then the value rules,
-    then the ordering against the previous row.
+    then the ordering against the previous row. The checks are ORed into
+    one mask; only the first row it marks is checked again for its reason.
     """
     if not len(data):
         return None
-    stamps = data[:, 0]
-    checks = [(j, ~np.isfinite(data[:, j]), f"non-finite value {{!r}} for {name}")
+    checks = [(j, lambda v: ~np.isfinite(v), f"non-finite value {{!r}} for {name}")
               for j, name in enumerate(fields)]
-    checks += [(fields.index(name), bad(data[:, fields.index(name)]), reason)
-               for name, bad, reason in _RULES if name in fields]
+    checks += [(fields.index(name), bad, reason) for name, bad, reason in _RULES if name in fields]
     checks += [
-        (0, np.r_[False, stamps[1:] < stamps[:-1]], "timestamp {} decreases from previous {}"),
-        (0, np.r_[False, stamps[1:] == stamps[:-1]], "duplicate timestamp {}"),
+        (0, lambda v: np.r_[False, v[1:] < v[:-1]], "timestamp {} decreases from previous {}"),
+        (0, lambda v: np.r_[False, v[1:] == v[:-1]], "duplicate timestamp {}"),
     ]
-    invalid = np.logical_or.reduce([mask for _, mask, _ in checks])
+    invalid = np.zeros(len(data), dtype=bool)
+    for j, bad, _ in checks:
+        invalid |= bad(data[:, j])
     if not invalid.any():
         return None
     row = int(invalid.argmax())
-    column, reason = next((j, reason) for j, mask, reason in checks if mask[row])
+    window = data[max(row - 1, 0):row + 1]  # the row, after the one before it
+    column, reason = next((j, reason) for j, bad, reason in checks if bad(window[:, j])[-1])
     previous = data[row - 1, 0].item() if row else None
     return row, reason.format(data[row, column].item(), previous)
 
@@ -435,10 +438,10 @@ def median_interval(timestamps: np.ndarray) -> float:
 
 
 def _median(values: np.ndarray) -> float:
-    """Median of a non-empty 1-D array; np.median imports numpy.ma on first use."""
-    ordered = np.sort(values)
-    mid = len(ordered) // 2
-    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
+    """Median of a non-empty 1-D array, which it sorts in place; np.median imports numpy.ma."""
+    values.sort()
+    mid = len(values) // 2
+    return float(values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2.0)
 
 
 def align(metrics, power, tolerance_s: float) -> AlignedTrace:
@@ -458,24 +461,32 @@ def align(metrics, power, tolerance_s: float) -> AlignedTrace:
 
 
 def _pair(metrics, power, tolerance_s: float):
-    """The pairing of metrics with power: ((metrics, power, metric_rows, power_rows), meta).
+    """The pairing of metrics with power: ((metrics, power, tolerance_s, kept), meta).
 
-    metrics and power come back as traces; metric_rows indexes each metric
-    sample kept and power_rows its power sample, by align's rule. meta
-    counts the samples; AlignmentError when no metric sample is kept.
+    metrics and power come back as traces; kept counts, for each _PAIR_ROWS block of metric
+    samples, those that find a power sample by align's rule. meta counts the samples;
+    AlignmentError when no metric sample is kept.
     """
     if not (tolerance_s > 0.0) or not math.isfinite(tolerance_s):
         raise TraceError(f"tolerance_s must be a positive number, got {tolerance_s}")
     metrics, power = MetricTrace.of(metrics), PowerTrace.of(power)
+    starts = range(0, len(metrics) if len(power) else 0, _PAIR_ROWS)  # no power sample, no pair
+    kept = np.array([rows.shape[1] for rows in _pair_rows(metrics, power, tolerance_s, starts)])
+    meta = AlignmentMeta(len(metrics), len(power), n_dropped=len(metrics) - int(kept.sum()))
+    if not kept.any():
+        raise AlignmentError(tolerance_s, meta)
+    return (metrics, power, tolerance_s, kept), meta
 
+
+def _pair_rows(metrics, power, tolerance_s: float, starts):
+    """Per start: the kept rows of the _PAIR_ROWS metric samples from it, over their power rows."""
     stamps, power_stamps = metrics.timestamp, power.timestamp
-    metric_rows = np.empty(len(stamps), dtype=np.intp)
-    power_rows = np.empty(len(stamps), dtype=np.intp)
-    kept = 0
-    # with no power sample, no metric sample is kept
-    for start in range(0, len(stamps) if len(power) else 0, _PAIR_ROWS):
+    for start in starts:
         block = stamps[start:start + _PAIR_ROWS]
-        later = np.searchsorted(power_stamps, block)  # first power sample at or after
+        # first power sample at or after, searched among those within reach of the block
+        low, high = np.searchsorted(power_stamps, block[[0, -1]])
+        later = np.searchsorted(power_stamps[low:high], block)
+        later += low
         earlier = np.maximum(later - 1, 0)
         # before the first or after the last power sample, both neighbours are that sample
         np.minimum(later, len(power) - 1, out=later)
@@ -485,35 +496,43 @@ def _pair(metrics, power, tolerance_s: float):
         np.copyto(earlier, later, where=later_gap < gap)  # a tie goes to the earlier sample
         np.minimum(gap, later_gap, out=gap)
         rows = np.flatnonzero(gap <= tolerance_s)
-        np.add(rows, start, out=metric_rows[kept:kept + len(rows)])
-        np.take(earlier, rows, out=power_rows[kept:kept + len(rows)])
-        kept += len(rows)
-    metric_rows.resize(kept, refcheck=False)
-    power_rows.resize(kept, refcheck=False)
+        pairs = np.empty((2, len(rows)), dtype=np.intp)  # filled in place: no np.stack temporaries
+        np.add(rows, start, out=pairs[0])
+        np.take(earlier, rows, out=pairs[1])
+        yield pairs
 
-    meta = AlignmentMeta(n_metrics=len(metrics), n_power=len(power), n_dropped=len(metrics) - kept)
-    if not kept:
-        raise AlignmentError(tolerance_s, meta)
-    return (metrics, power, metric_rows, power_rows), meta
+
+def _taken(pieces, sizes):
+    """For each size in sizes, the next size columns of the 2-row arrays pieces, joined."""
+    held = np.empty((2, 0), dtype=np.intp)
+    for size in sizes:
+        while held.shape[1] < size:
+            held = np.concatenate((held, next(pieces)), axis=1)
+        yield held[:, :size]
+        held = held[:, size:]
 
 
 def _paired_blocks(pairs, block_rows: int, fields=MetricSample._fields[1:]):
     """(n, blocks): the n paired rows of pairs in even blocks, none under block_rows unless n is.
 
-    pairs is a pairing (metrics, power, metric_rows, power_rows) from _pair, whose rows are
-    gathered, or an AlignedTrace (or any object with its columns and a length), whose rows are
-    sliced. blocks yields (rows, block): the slice of the paired rows, and their columns.
+    pairs is a pairing (metrics, power, tolerance_s, kept) from _pair, whose metric blocks
+    that kept rows are paired once more as the blocks are read, or an AlignedTrace (or any
+    object with its columns and a length), whose rows are sliced. blocks yields (rows, block):
+    the slice of the paired rows, and their columns.
     """
-    if not isinstance(pairs, tuple):  # row i of an aligned trace pairs its own columns
-        pairs = (pairs, pairs, None, None)
-    metrics, power, metric_rows, power_rows = pairs
-    n = len(metrics if metric_rows is None else metric_rows)
+    paired = isinstance(pairs, tuple)
+    metrics, power, tolerance_s, kept = pairs if paired else (pairs, pairs, None, None)
+    n = int(kept.sum()) if paired else len(pairs)
     count = max(1, n // block_rows)
+    slices = [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+    if paired:
+        pieces = _pair_rows(metrics, power, tolerance_s, np.flatnonzero(kept) * _PAIR_ROWS)
+        indices = _taken(pieces, (rows.stop - rows.start for rows in slices))
+    else:  # row i of an aligned trace pairs its own columns
+        indices = ((rows, rows) for rows in slices)
 
-    def block(rows):  # fields from metrics and power_w from power, at rows
-        m = rows if metric_rows is None else metric_rows[rows]
-        p = rows if power_rows is None else power_rows[rows]
+    def block(rows, m, p):  # fields from metrics at rows m and power_w from power at rows p
         columns = {name: getattr(metrics, name)[m] for name in fields}
         return rows, SimpleNamespace(**columns, power_w=power.power_w[p])
 
-    return n, (block(slice(n * i // count, n * (i + 1) // count)) for i in range(count))
+    return n, (block(rows, m, p) for rows, (m, p) in zip(slices, indices))

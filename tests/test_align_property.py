@@ -89,8 +89,8 @@ def test_align_matches_brute_force_across_block_seams(block_rows, case):
 @settings(max_examples=300, deadline=None)
 @given(case=streams())
 def test_align_matches_brute_force_across_pairing_blocks(block_rows, case):
-    # _pair walks the metric stamps trace._PAIR_ROWS (4,096) at a time and
-    # compacts the kept rows in place; smaller walks check that compaction
+    # _pair walks the metric stamps trace._PAIR_ROWS (4,096) at a time, and
+    # align's blocks join the kept rows of many smaller walks: their seams
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace_module, "_PAIR_ROWS", block_rows)
         check_align_against_brute_force(case)

@@ -15,7 +15,6 @@ import pytest
 import wattmodel
 from conftest import REF_TRUTH, exact_model, strict_json
 from wattmodel import (
-    AlignedRow,
     MetricTrace,
     PowerTrace,
     SimConfig,
@@ -179,8 +178,9 @@ def parsed_pair(monkeypatch, n):
 
 
 def test_fit_after_parsing_holds_less_than_the_aligned_rows(tmp_path, monkeypatch):
-    # fit pairs the traces by row indices and reads the pairs in blocks, so it
-    # holds no aligned copy of the rows, no whole design and no whole [x | y]
+    # fit pairs the traces block by block and reads the pairs in blocks, so it
+    # holds no aligned copy of the rows, no row indices, no whole design and no
+    # whole [x | y]; its largest array is the metric intervals, sorted in place
     n = 200_000
     parsed_pair(monkeypatch, n)
     model_path = tmp_path / "model.json"
@@ -192,12 +192,12 @@ def test_fit_after_parsing_holds_less_than_the_aligned_rows(tmp_path, monkeypatc
     finally:
         tracemalloc.stop()
     assert load_model(model_path.read_text(encoding="utf-8")).beta_cpu == pytest.approx(124.9)
-    assert peak < n * len(AlignedRow._fields) * 8
+    assert peak < 10 * n, peak / n
 
 
 def test_evaluate_after_parsing_holds_less_than_two_aligned_copies(tmp_path, monkeypatch, capsys):
     # evaluate pairs the traces as fit does and reads the pairs in blocks; it
-    # holds whole only the row indices and the absolute and relative errors
+    # holds whole only the relative errors, whose mean is the MAPE
     n = 200_000
     parsed_pair(monkeypatch, n)
     model_path = tmp_path / "model.json"
@@ -210,7 +210,7 @@ def test_evaluate_after_parsing_holds_less_than_two_aligned_copies(tmp_path, mon
     finally:
         tracemalloc.stop()
     assert json.loads(capsys.readouterr().out)["n"] == n
-    assert peak < 2 * n * len(AlignedRow._fields) * 8
+    assert peak < 12 * n, peak / n
 
 
 def test_predict_writes_its_columns_without_stacking_them(tmp_path, monkeypatch):
@@ -598,10 +598,13 @@ def test_evaluate_subnormal_power_is_data_error(tmp_path, capsys):
     )
 
 
-# (alpha, power_w, message): the model predicts alpha on every row of a two-row trace
+# (alpha, power_w of each row, message): the model predicts alpha on every row; with
+# 2,500 rows evaluate reads two blocks, and the first error that overflows is in the second
 MAPE_OVERFLOWS = {
-    "error": (-1.7e308, 1.7e308, "the prediction error for row 0 overflows"),
-    "sum": (1.7e308, 1.0, "MAPE is not finite; the sum of the percent errors overflows"),
+    "error": (-1.7e308, [1.7e308] * 2, "the prediction error for row 0 overflows"),
+    "error_past_the_first_block": (-1.7e308, [1.0] * 2100 + [1.7e308] * 400,
+                                   "the prediction error for row 2100 overflows"),
+    "sum": (1.7e308, [1.0] * 2, "MAPE is not finite; the sum of the percent errors overflows"),
 }
 
 
@@ -613,8 +616,10 @@ def test_evaluate_names_why_the_mape_overflows(tmp_path, capsys, case):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(doc), encoding="utf-8")
     metrics_path, power_path = tmp_path / "metrics.csv", tmp_path / "power.csv"
-    metrics_path.write_text(f"{METRICS_HEADER}\n0,0.5,1,1,1\n60,0.5,1,1,1\n", encoding="utf-8")
-    power_path.write_text(f"{POWER_HEADER}\n0,{power_w!r}\n60,{power_w!r}\n", encoding="utf-8")
+    metrics_path.write_text(format_metrics([(60.0 * i, 0.5, 1, 1, 1) for i in range(len(power_w))]),
+                            encoding="utf-8")
+    power_path.write_text(format_power([(60.0 * i, w) for i, w in enumerate(power_w)]),
+                          encoding="utf-8")
     rc = main(["evaluate", "--model", str(model_path),
                "--metrics", str(metrics_path), "--power", str(power_path)])
     assert rc == 2

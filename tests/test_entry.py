@@ -161,6 +161,19 @@ def test_closed_stdout_ends_a_table_command_as_at_exit(command, traces):
     assert [(done.returncode, done.stderr) for done in ends] == [(0, ends[0].stderr)] * 2
 
 
+def test_closed_stdout_drops_help_but_not_a_usage_error():
+    # with fd 1 closed argparse would send help, meant for stdout, to stderr
+    ends = [subprocess.run(
+        [sys.executable, "-m", "wattmodel", *argv],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=child_env(), preexec_fn=lambda: os.close(1)) for argv in (["--help"], ["fit"])]
+    assert (ends[0].returncode, ends[0].stderr) == (0, b"")
+    assert ends[1].returncode == 1
+    assert ends[1].stderr.startswith(b"usage: wattmodel fit [-h] --metrics METRICS")
+    assert ends[1].stderr.endswith(b"error: the following arguments are required: "
+                                   b"--metrics, --power, --out\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
 @pytest.mark.parametrize("given", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
 def test_help_to_a_full_device_is_a_data_error(given):

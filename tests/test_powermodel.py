@@ -30,6 +30,7 @@ from wattmodel import (
     train,
 )
 from wattmodel import powermodel
+from wattmodel import trace as trace_module
 from wattmodel.powermodel import BLOCK_ROWS
 from wattmodel.trace import _pair, _paired_blocks
 
@@ -86,7 +87,10 @@ def blocked_pair(n=3 * BLOCK_ROWS + 600):
     return metrics, PowerTrace(np.delete(np.asarray(power), np.s_[1000:1500], axis=0))
 
 
-def test_train_on_a_pairing_is_train_on_its_aligned_trace():
+@pytest.mark.parametrize("pair_rows", [1, 7, 4096])
+def test_train_on_a_pairing_is_train_on_its_aligned_trace(monkeypatch, pair_rows):
+    # with fewer pairing rows than BLOCK_ROWS, one block of train's reads many of _pair's
+    monkeypatch.setattr(trace_module, "_PAIR_ROWS", pair_rows)
     metrics, power = blocked_pair()
     pairing, meta = _pair(metrics, power, 0.5)
     assert meta.n_dropped == 500
@@ -94,14 +98,21 @@ def test_train_on_a_pairing_is_train_on_its_aligned_trace():
 
 
 def test_train_reads_even_blocks_of_at_least_block_rows():
-    metrics, power = blocked_pair()
+    metrics, _ = blocked_pair()
+    power = PowerTrace(np.column_stack([metrics.timestamp, metrics.cpu + 100.0]))
     for n in (6, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 3 * BLOCK_ROWS + 100):
-        rows = np.arange(n)
-        _, blocks = _paired_blocks((metrics, power, rows, rows), BLOCK_ROWS)
-        sizes = [len(block.power_w) for _, block in blocks]
+        pairing, meta = _pair(MetricTrace(np.asarray(metrics)[:n]), power, 0.5)
+        assert meta.n_dropped == 0
+        _, blocks = _paired_blocks(pairing, BLOCK_ROWS)
+        blocks = [block for _, block in blocks]
+        sizes = [len(block.power_w) for block in blocks]
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
         assert min(sizes) >= BLOCK_ROWS or sizes == [n]
+        # paired row i is metric row i with power row i
+        cpu = np.concatenate([block.cpu for block in blocks])
+        power_w = np.concatenate([block.power_w for block in blocks])
+        assert np.array_equal(cpu, metrics.cpu[:n]) and np.array_equal(power_w, power.power_w[:n])
 
 
 def test_blocked_train_matches_one_block_train(monkeypatch):
@@ -232,7 +243,9 @@ def test_evaluate_subnormal_power_is_trace_error():
         evaluate(exact_model(100.0), trace)
 
 
-def test_evaluate_on_a_pairing_is_evaluate_on_its_aligned_trace():
+@pytest.mark.parametrize("pair_rows", [1, 7, 4096])
+def test_evaluate_on_a_pairing_is_evaluate_on_its_aligned_trace(monkeypatch, pair_rows):
+    monkeypatch.setattr(trace_module, "_PAIR_ROWS", pair_rows)
     metrics, power = blocked_pair()
     pairing, _ = _pair(metrics, power, 0.5)
     trace = align(metrics, power, 0.5)
@@ -254,8 +267,9 @@ def test_evaluate_names_a_row_past_the_first_block_by_its_paired_row(aligned):
     rows[:, 4] = 0.0  # net
     rows[2500, 4] = 1e10  # metric rows 1000-1499 find no power sample: this is paired row 2000
     pairing, _ = _pair(MetricTrace(rows), power, 0.5)
-    assert pairing[2][2000] == 2500
-    trace = align(MetricTrace(rows), power, 0.5) if aligned else pairing
+    aligned_trace = align(MetricTrace(rows), power, 0.5)
+    assert aligned_trace.timestamp[2000] == rows[2500, 0]
+    trace = aligned_trace if aligned else pairing
     with pytest.raises(ModelFormatError, match="^model prediction for row 2000 is not finite$"):
         evaluate(exact_model(100.0, beta_net=1e300), trace)
 

@@ -159,6 +159,20 @@ def test_trace_constructors_copy_the_callers_array(kind, args):
     assert (np.asarray(trace)[:, 1:] == 0.5).all()
 
 
+def test_trace_constructor_peaks_under_one_fifth_over_its_copy():
+    # the rules are ORed into one mask: no stack of one mask per rule and field
+    n = 200_000
+    rows = np.column_stack([np.arange(n) * 0.5, np.full((n, 4), 0.5)])
+    tracemalloc.start()
+    try:
+        built = MetricTrace(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) == n
+    assert peak < 1.2 * rows.nbytes, peak / rows.nbytes
+
+
 def test_trace_constructor_names_the_bad_row():
     with pytest.raises(TraceError, match="row 2: duplicate timestamp 1.0"):
         PowerTrace([(0.0, 1.0), (1.0, 1.0), (1.0, 2.0)])
@@ -387,23 +401,25 @@ def test_align_out_of_tolerance_raises_with_counts():
     assert (exc_info.value.n_power, exc_info.value.n_dropped) == (0, 2)
 
 
-def test_pair_holds_under_three_and_a_half_index_arrays():
-    # _pair walks the metric timestamps in blocks: its whole-length arrays are
-    # the kept metric rows and their power rows
+def test_pair_holds_under_two_bytes_per_metric_row():
+    # _pair walks the metric timestamps in blocks and keeps one count of kept
+    # rows per block; the paired rows are found again as they are read
     n = 200_000
     stamps = np.arange(n) * 2.0
     metrics = MetricTrace(np.column_stack([stamps, np.full((n, 4), 0.5)]))
-    power = PowerTrace(np.column_stack([stamps[::2] + 0.5, np.full(n // 2, 100.0)]))
+    power = PowerTrace(np.column_stack([stamps[::2] + 0.5, np.arange(n // 2) + 100.0]))
     tracemalloc.start()
     try:
-        (_, _, metric_rows, power_rows), meta = trace._pair(metrics, power, 1.0)
+        pairing, meta = trace._pair(metrics, power, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert metric_rows.tolist() == list(range(0, n, 2))
-    assert power_rows.tolist() == list(range(n // 2))
+    _, blocks = trace._paired_blocks(pairing, 1024, ("timestamp",))
+    blocks = [block for _, block in blocks]
+    assert np.concatenate([b.timestamp for b in blocks]).tolist() == stamps[::2].tolist()
+    assert np.concatenate([b.power_w for b in blocks]).tolist() == power.power_w.tolist()
     assert meta.n_dropped == n // 2
-    assert peak < 3.5 * n * 8, peak / (n * 8)
+    assert peak < 2 * n, peak / n
 
 
 def test_align_identical_grids_is_lossless():
