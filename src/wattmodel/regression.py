@@ -111,9 +111,9 @@ def fit_ols(design) -> tuple[np.ndarray, FitDiagnostics]:
     design is one DesignMatrix, or an iterable of DesignMatrix blocks of the
     rows, read one block at a time. Each block is reduced to the R factor of
     its [x | y]; the blocks' factors are merged by one more QR (TSQR), so no
-    two blocks are held at once. One DesignMatrix is one block, fitted from
-    its own R. Standard errors use the unbiased residual variance and the
-    diagonal of (R'R)^-1; R² is measured against the mean-only model.
+    two blocks are held at once; the merge returns a single block's R unchanged.
+    Standard errors use the unbiased residual variance and the diagonal of
+    (R'R)^-1; R² is measured against the mean-only model.
     """
     blocks = (design,) if isinstance(design, DesignMatrix) else design
     parts, n = [], 0
@@ -153,8 +153,6 @@ def _merge_r(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np
     and then its error is below 2**-1074, against a column norm of at least 1
     in the block that holds the column's largest magnitude.
     """
-    if len(parts) == 1:
-        return parts[0]
     exponent = np.max([e for _, e in parts], axis=0)
     stacked = np.concatenate([np.ldexp(r, e - exponent) for r, e in parts])
     return np.linalg.qr(stacked, mode="r"), exponent
@@ -223,12 +221,7 @@ def student_t_sf(t: float, df: int) -> float:
         raise ValueError(f"df must be >= 1, got {df}")
     if math.isnan(t):
         raise ValueError("t must not be NaN")
-    if math.isinf(t):
-        return 0.0
-    tt = t * t
-    if tt == 0.0:
-        return 1.0
-    x = df / (df + tt)
+    x = df / (df + t * t)
     p = _betainc(0.5 * df, 0.5, x)
     if p < P_UNDERFLOW:
         return 0.0
@@ -254,7 +247,7 @@ def _betainc(a: float, b: float, x: float) -> float:
         + a * math.log(x)
         + b * math.log1p(-x)
     )
-    front = math.exp(ln_front) if ln_front > -745.0 else 0.0
+    front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b

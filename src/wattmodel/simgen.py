@@ -165,6 +165,8 @@ class SimConfig:
                 f"unknown workload_profile {self.workload_profile!r}; "
                 f"expected one of {PROFILES}"
             )
+        if self.workload_profile == "diurnal" and not math.isfinite(2 * math.pi * self.duration_s):
+            raise SimConfigError(f"diurnal angle 2 pi * duration_s overflows: {self.duration_s}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise SimConfigError(f"seed must be an integer, got {self.seed!r}")
 
@@ -187,8 +189,10 @@ def _regressors(config: SimConfig, t: np.ndarray, phases: np.ndarray, jitter: np
         return np.clip(scales * (base + _DIURNAL_JITTER * (2.0 * jitter - 1.0)), 0.0, scales)
 
     periods = config.duration_s / np.array(_BURSTY_CYCLES)
-    # every operand is positive, so numpy's % is Python's
-    on = (t + phases * periods) % periods < 0.5 * periods
+    # every operand is positive, so numpy's % is Python's; a period that
+    # underflows to 0 gives a NaN phase, which reads as low
+    with np.errstate(invalid="ignore"):
+        on = (t + phases * periods) % periods < 0.5 * periods
     return np.where(on, scales * _BURSTY_HIGH, scales * _BURSTY_LOW)
 
 
@@ -199,7 +203,7 @@ def generate(config: SimConfig) -> tuple[MetricTrace, PowerTrace]:
     each sample its four jitter uniforms (diurnal) and its noise (sigma > 0).
     """
     profile = config.workload_profile
-    n = max(2, int(round(config.duration_s / config.interval_s)))
+    n = round(config.duration_s / config.interval_s)
     sigma = config.noise_sigma_w
     rng = PortableRandom(config.seed)
     phases = np.array([rng.uniform() for _ in _SCALES if profile in ("diurnal", "bursty")])

@@ -31,6 +31,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -159,11 +160,9 @@ def _first_invalid_row(data: np.ndarray, fields: tuple[str, ...]):
     """(row, reason) for the first row that breaks a rule, else None.
 
     Within a row, a non-finite field comes first, then the value rules,
-    then the ordering against the previous row. The checks are ORed into
-    one mask; only the first row it marks is checked again for its reason.
+    then the ordering against the previous row. Of the rows the checks
+    mark, the earliest is reported, with the first check that marks it.
     """
-    if not len(data):
-        return None
     checks = [(j, lambda v: ~np.isfinite(v), f"non-finite value {{!r}} for {name}")
               for j, name in enumerate(fields)]
     checks += [(fields.index(name), bad, reason) for name, bad, reason in _RULES if name in fields]
@@ -171,14 +170,11 @@ def _first_invalid_row(data: np.ndarray, fields: tuple[str, ...]):
         (0, lambda v: np.r_[False, v[1:] < v[:-1]], "timestamp {} decreases from previous {}"),
         (0, lambda v: np.r_[False, v[1:] == v[:-1]], "duplicate timestamp {}"),
     ]
-    invalid = np.zeros(len(data), dtype=bool)
-    for j, bad, _ in checks:
-        invalid |= bad(data[:, j])
-    if not invalid.any():
+    faults = [(int(marked.argmax()), j, reason) for j, bad, reason in checks
+              if (marked := bad(data[:, j])).any()]
+    if not faults:
         return None
-    row = int(invalid.argmax())
-    window = data[max(row - 1, 0):row + 1]  # the row, after the one before it
-    column, reason = next((j, reason) for j, bad, reason in checks if bad(window[:, j])[-1])
+    row, column, reason = min(faults, key=lambda fault: fault[0])
     previous = data[row - 1, 0].item() if row else None
     return row, reason.format(data[row, column].item(), previous)
 
@@ -240,7 +236,7 @@ class _Columns:
         return len(self._data)
 
     def __getitem__(self, index: int):
-        return self.record._make(self._data[index].tolist())
+        return self.record._make(self._data[operator.index(index)].tolist())
 
     def __iter__(self):
         return map(self.record._make, self._data.tolist())

@@ -793,32 +793,28 @@ def test_module_entrypoint_subprocess():
     assert "usage" in bad.stderr
 
 
-def test_metered_energy_does_not_import_numpy_ma(tmp_path):
-    # numpy.ma takes 10-20 ms to import, a large share of a short command
-    _, power_path = write_traces(tmp_path)
-    code = ("import sys; from wattmodel.cli import main; "
-            f"code = main(['energy', '--power', {str(power_path)!r}]); "
-            "print(code, 'numpy.ma' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(Path(wattmodel.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
-
-
-def test_commands_do_not_import_scipy(tmp_path):
-    # numpy is the only declared runtime dependency; scipy may be installed all the same
-    m, p, model = (str(tmp_path / name) for name in ("m.csv", "p.csv", "model.json"))
+def test_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
+    # numpy is the only declared runtime dependency; scipy may be installed all the same.
+    # numpy.ma takes 10-20 ms to import, a large share of a short command; fit and
+    # evaluate reach the median through default_tolerance, and np.median imports it
+    m, p, model, watts = (str(tmp_path / name)
+                          for name in ("m.csv", "p.csv", "model.json", "watts.csv"))
     commands = [
         ["simulate", "--noise-w", "2", "--out-metrics", m, "--out-power", p],
         ["fit", "--metrics", m, "--power", p, "--out", model],
         ["evaluate", "--model", model, "--metrics", m, "--power", p],
+        ["predict", "--model", model, "--metrics", m, "--out", watts],
+        ["energy", "--power", p],
+        ["energy", "--model", model, "--metrics", m],
         ["cost", "--kwh-per-day", "1", "--rate", "0.1", "--months", "12"],
     ]
     code = ("import sys; from wattmodel.cli import main; "
             f"codes = [main(argv) for argv in {commands!r}]; "
-            "print(codes, [name for name in sys.modules if name.split('.')[0] == 'scipy'])")
+            "print(codes, [name for name in sys.modules "
+            "if name.split('.')[0] == 'scipy' or name == 'numpy.ma'])")
     env = dict(os.environ, PYTHONPATH=str(Path(wattmodel.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []", done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []", done.stderr
 
 
 def test_tool_warnings_survive_warnings_as_errors(tmp_path):

@@ -70,6 +70,10 @@ def _check_exit(argv, capsys) -> None:
          duration_interval=(1e15, 1.0))
 @example(profile="bursty", truth=DEFAULT_TRUTH, noise=0.0, seed=1,
          duration_interval=(1e20, 1.0))
+@example(profile="diurnal", truth=DEFAULT_TRUTH, noise=0.0, seed=1,
+         duration_interval=(1.6e308, 8e307))
+@example(profile="bursty", truth=DEFAULT_TRUTH, noise=0.0, seed=1,
+         duration_interval=(1e-323, 5e-324))
 def test_simulate_flags_never_raise(tmp_path, capsys, profile, truth, noise, seed,
                                     duration_interval):
     duration, interval = duration_interval

@@ -27,7 +27,7 @@ from wattmodel import (
     fit_ols,
     student_t_sf,
 )
-from wattmodel.regression import _block_r, _fit_from_r
+from wattmodel.regression import _block_r, _fit_from_r, _merge_r
 
 
 def random_design(rng, n=50, native_scales=False):
@@ -349,14 +349,21 @@ def test_merge_rescale_below_the_normal_range_keeps_the_fit():
 
 
 def test_one_block_is_fitted_from_its_own_r():
-    # one block, alone or in a list, is fitted from its own R, with no merge
+    # one block, alone or in a list, goes through the merge, which returns its R
+    # bit for bit: LAPACK's QR of an R factor is that factor, and the shift is 0
     rng = np.random.default_rng(8)
-    x = random_design(rng, n=30)
-    design = DesignMatrix(x=x, y=random_response(rng, x))
-    want_beta, want_diag = _fit_from_r(*_block_r(np.column_stack([x, design.y])), design.n)
-    for beta, diag in (fit_ols(design), fit_ols([design])):
-        assert beta.tolist() == want_beta.tolist()
-        assert diag == want_diag
+    for scales in ([1.0] * 5, [1.0, 1e200, 1e-200, 1e150, 1e-150], [1.0, 1e-200] * 2 + [1e200]):
+        unit = random_design(rng, n=30)
+        x = unit * scales
+        design = DesignMatrix(x=x, y=random_response(rng, unit))
+        r, exponent = _block_r(np.column_stack([x, design.y]))
+        merged_r, merged_exponent = _merge_r([(r, exponent)])
+        assert merged_r.tobytes() == r.tobytes()
+        assert merged_exponent.tolist() == exponent.tolist()
+        want_beta, want_diag = _fit_from_r(r, exponent, design.n)
+        for beta, diag in (fit_ols(design), fit_ols([design])):
+            assert beta.tolist() == want_beta.tolist()
+            assert diag == want_diag
 
 
 def test_no_blocks_is_insufficient_data():

@@ -145,6 +145,11 @@ def test_sample_count_follows_duration():
     assert len(metrics) == 600
     metrics, _ = generate(config(duration=120.0, interval=60.0))
     assert len(metrics) == 2
+    # the config's floor of two intervals is two samples, from the subnormals to
+    # near overflow
+    for interval in (5e-324, 8e307):
+        metrics, _ = generate(config(profile="constant", duration=2 * interval, interval=interval))
+        assert len(metrics) == 2
 
 
 # ------------------------------------------------------------ determinism
@@ -261,6 +266,11 @@ def test_config_validation():
         config(duration=50.0, interval=60.0)  # below two intervals
     with pytest.raises(SimConfigError, match="overflows"):
         config(duration=1e300, interval=1e-10)  # the sample count is not finite
+    with pytest.raises(SimConfigError, match="diurnal angle"):
+        config(profile="diurnal", duration=1.6e308, interval=8e307)  # 2 pi t is not finite
+    config(profile="bursty", duration=1.6e308, interval=8e307)
+    metrics, _ = generate(config(profile="diurnal", duration=2.8e307, interval=1.4e307))
+    assert np.isfinite(metrics.cpu).all()
     with pytest.raises(SimConfigError):
         config(noise=-1.0)
     with pytest.raises(SimConfigError):

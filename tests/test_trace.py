@@ -160,7 +160,7 @@ def test_trace_constructors_copy_the_callers_array(kind, args):
 
 
 def test_trace_constructor_peaks_under_one_fifth_over_its_copy():
-    # the rules are ORed into one mask: no stack of one mask per rule and field
+    # no stack of one mask per rule and field
     n = 200_000
     rows = np.column_stack([np.arange(n) * 0.5, np.full((n, 4), 0.5)])
     tracemalloc.start()
@@ -176,8 +176,32 @@ def test_trace_constructor_peaks_under_one_fifth_over_its_copy():
 def test_trace_constructor_names_the_bad_row():
     with pytest.raises(TraceError, match="row 2: duplicate timestamp 1.0"):
         PowerTrace([(0.0, 1.0), (1.0, 1.0), (1.0, 2.0)])
+    # the earliest row wins over the first check in order: cpu is checked first,
+    # but only at row 3
+    good = (0.5, 1.0, 1.0, 1.0)
+    with pytest.raises(TraceError, match="row 2: duplicate timestamp 1.0"):
+        MetricTrace([(0.0, *good), (1.0, *good), (1.0, *good), (2.0, 1.5, 1.0, 1.0, 1.0)])
+    # within one row, the first check in order wins
+    with pytest.raises(TraceError, match=r"row 2: cpu 1.5 outside \[0, 1\]"):
+        MetricTrace([(0.0, *good), (1.0, *good), (1.0, 1.5, 1.0, 1.0, 1.0)])
+    assert trace._first_invalid_row(np.empty((0, 5)), MetricSample._fields) is None
+    assert len(MetricTrace(np.empty((0, 5)))) == len(PowerTrace([])) == 0
     with pytest.raises(TraceError, match="fields"):
         PowerTrace([(0.0, 1.0, 2.0)])
+
+
+def test_trace_rows_index_by_integer_only():
+    power = PowerTrace([(0, 1), (1, 2), (2, 3)])
+    metrics = MetricTrace([(t, 0.5, 1, 1, 1) for t in range(3)])
+    assert power[1] == PowerSample(1.0, 2.0)
+    assert power[-1] == power[np.int64(2)] == power[np.intp(-1)] == PowerSample(2.0, 3.0)
+    assert metrics[-3] == MetricSample(0.0, 0.5, 1.0, 1.0, 1.0)
+    for rows in (power, metrics):
+        for index in (slice(1, 3), 1.0, np.float64(1.0), [0, 1]):
+            with pytest.raises(TypeError):
+                rows[index]
+        with pytest.raises(IndexError):
+            rows[3]
 
 
 def test_rows_of_the_wrong_width_or_ragged_raise_trace_error():
