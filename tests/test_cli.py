@@ -793,10 +793,11 @@ def test_module_entrypoint_subprocess():
     assert "usage" in bad.stderr
 
 
-def test_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
-    # numpy is the only declared runtime dependency; scipy may be installed all the same.
-    # numpy.ma takes 10-20 ms to import, a large share of a short command; fit and
-    # evaluate reach the median through default_tolerance, and np.median imports it
+@pytest.fixture(scope="module")
+def loaded_by_every_command(tmp_path_factory):
+    """Run each command in one fresh interpreter, require exit 0 from all, and return
+    the scipy and numpy.ma modules it imported."""
+    tmp_path = tmp_path_factory.mktemp("every_command")
     m, p, model, watts = (str(tmp_path / name)
                           for name in ("m.csv", "p.csv", "model.json", "watts.csv"))
     commands = [
@@ -808,13 +809,28 @@ def test_commands_import_neither_scipy_nor_numpy_ma(tmp_path):
         ["energy", "--model", model, "--metrics", m],
         ["cost", "--kwh-per-day", "1", "--rate", "0.1", "--months", "12"],
     ]
-    code = ("import sys; from wattmodel.cli import main; "
+    code = ("import sys, json; from wattmodel.cli import main; "
             f"codes = [main(argv) for argv in {commands!r}]; "
-            "print(codes, [name for name in sys.modules "
-            "if name.split('.')[0] == 'scipy' or name == 'numpy.ma'])")
+            "print(json.dumps([codes, [name for name in sys.modules "
+            "if name.split('.')[0] == 'scipy' or name == 'numpy.ma']]))")
     env = dict(os.environ, PYTHONPATH=str(Path(wattmodel.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []", done.stderr
+    assert done.stdout, done.stderr
+    codes, modules = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands), done.stderr
+    return modules
+
+
+def test_metered_energy_does_not_import_numpy_ma(loaded_by_every_command):
+    # numpy.ma takes 10-20 ms to import, a large share of a short command; energy --power
+    # is among the commands run, and fit and evaluate reach the median through
+    # default_tolerance, where np.median would import it
+    assert "numpy.ma" not in loaded_by_every_command
+
+
+def test_commands_do_not_import_scipy(loaded_by_every_command):
+    # numpy is the only declared runtime dependency; scipy may be installed all the same
+    assert [name for name in loaded_by_every_command if name.split(".")[0] == "scipy"] == []
 
 
 def test_tool_warnings_survive_warnings_as_errors(tmp_path):
