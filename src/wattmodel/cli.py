@@ -40,7 +40,7 @@ from .tariff import MAX_HORIZON_MONTHS
 from .tariff import BreakdownReport, CostProjection, Tariff, TariffError, breakdown, project_cost
 from .trace import (
     TraceError,
-    _pair,
+    align,
     default_tolerance,
     format_csv,
     format_metrics,
@@ -136,7 +136,7 @@ def _check_tolerance(args) -> None:
 
 
 def _paired(args):
-    """The pairing of --metrics with --power (trace._pair), its dropped samples counted on stderr.
+    """--metrics aligned with --power, its dropped samples counted on stderr.
 
     Without --tolerance-s the window is derived from the metrics and echoed.
     """
@@ -146,11 +146,12 @@ def _paired(args):
     if tolerance is None:
         tolerance = default_tolerance(metrics)
         print(f"tolerance_s = {tolerance:.6g} (half the median metric interval)", file=sys.stderr)
-    pairing, meta = _pair(metrics, power, tolerance)
+    aligned = align(metrics, power, tolerance)
+    meta = aligned.source_meta
     if meta.n_dropped:
         print(f"dropped {meta.n_dropped} of {meta.n_metrics} metric samples "
               f"(no power sample within {tolerance:.6g} s)", file=sys.stderr)
-    return pairing
+    return aligned
 
 
 def cmd_fit(args) -> None:

@@ -70,17 +70,13 @@ class EvaluationReport:
     n: int
 
 
-def train(
-    trace: AlignedTrace | tuple, hardware_id: str = "", created_at: float | None = None
-) -> PowerModel:
-    """Fit the model to paired rows; the intercept is the baseline power.
+def train(trace: AlignedTrace, hardware_id: str = "", created_at: float | None = None) -> PowerModel:
+    """Fit the model to the paired rows of trace; the intercept is the baseline power.
 
-    trace is an AlignedTrace (or any object with its cpu, mem, disk, net and
-    power_w columns and a length), whose rows are sliced, or the pairing
-    that trace._pair gives, whose rows are paired again and gathered as the
-    blocks are read. Either is read in even blocks of at least BLOCK_ROWS
-    (one block when there are fewer), so one block of the design is held at
-    a time and, given MIN_ROWS rows, none has fewer.
+    trace is what align returns. Its rows are paired again and gathered as
+    they are read, in even blocks of at least BLOCK_ROWS (one block when
+    there are fewer), so one block of the design is held at a time and,
+    given MIN_ROWS rows, none has fewer.
     """
     _, blocks = _paired_blocks(trace, BLOCK_ROWS)
     coef, diagnostics = fit_ols(
@@ -120,11 +116,11 @@ def _predict(model: PowerModel, sample, first_row: int = 0):
     return watts
 
 
-def evaluate(model: PowerModel, trace: AlignedTrace | tuple) -> EvaluationReport:
+def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
     """MAPE of predictions against metered power; accuracy = 100 - MAPE.
 
-    trace is either form train takes, read in the same blocks; an error
-    names a row by its place among all the paired rows.
+    trace is read in train's blocks; an error names a row by its place
+    among all the paired rows.
     """
     n, blocks = _paired_blocks(trace, BLOCK_ROWS)
     if not n:

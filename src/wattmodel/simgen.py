@@ -167,6 +167,9 @@ class SimConfig:
             )
         if self.workload_profile == "diurnal" and not math.isfinite(2 * math.pi * self.duration_s):
             raise SimConfigError(f"diurnal angle 2 pi * duration_s overflows: {self.duration_s}")
+        latest = self.duration_s + self.duration_s / min(_BURSTY_CYCLES)  # bounds bursty t + phase
+        if self.workload_profile == "bursty" and math.isinf(latest):
+            raise SimConfigError(f"bursty time plus phase overflows: duration_s {self.duration_s}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise SimConfigError(f"seed must be an integer, got {self.seed!r}")
 

@@ -9,21 +9,20 @@ Timestamps are decimal seconds (epoch or run-relative); only deltas matter.
 Both streams must be strictly increasing in time: duplicate timestamps make
 "nearest sample" pairing ambiguous and are rejected.
 
-A trace is held as read-only float64 columns (MetricTrace, PowerTrace,
-AlignedTrace). Each is built from rows by one constructor, which copies them
-and checks the rules above once; the parser, align and simgen hand the array
-they have just filled to the trace instead, which checks it as the
-constructor does and holds it without a copy. Each field is a column under
-the field's name, and the trace still has a length, indexes and iterates as
-row records (MetricSample, PowerSample, AlignedRow). CSV is read from text
-or an open text file in one pass, a block of lines at a time, and written
-to an open text file a block of rows at a time.
+A trace is held as read-only float64 columns (MetricTrace, PowerTrace).
+Each is built from rows by one constructor, which copies them and checks the
+rules above once; the parser and simgen hand the array they have just filled
+to the trace instead, which checks it as the constructor does and holds it
+without a copy. Each field is a column under the field's name, and the trace
+still has a length, indexes and iterates as row records (MetricSample,
+PowerSample). CSV is read from text or an open text file in one pass, a
+block of lines at a time, and written to an open text file a block of rows
+at a time.
 
-_pair pairs each metric sample with its nearest power sample, walking the
+align pairs each metric sample with its nearest power sample, walking the
 metric timestamps in blocks, and keeps only how many rows each block kept;
 _paired_blocks reads the paired rows in blocks, pairing those metric blocks
-again as it goes, or slices them from an aligned trace. align, and
-powermodel's train and evaluate, read through it.
+again as it goes. train, evaluate and AlignedTrace.rows read through it.
 """
 
 from __future__ import annotations
@@ -115,13 +114,12 @@ METRICS_HEADER = ",".join(MetricSample._fields)
 POWER_HEADER = ",".join(PowerSample._fields)
 
 # The reader asks readlines for about this many characters of lines at a
-# time; the writer renders this many rows at a time, and align pairs rows in
-# blocks of at least that many. Small read blocks keep each block's lines and
-# array from growing the heap that pairing and the fit reuse: with 64 KiB
-# blocks fit's peak RSS on 28,800 rows rose.
+# time, and the writer renders this many rows at a time. Small read blocks
+# keep each block's lines and array from growing the heap that pairing and
+# the fit reuse: with 64 KiB blocks fit's peak RSS on 28,800 rows rose.
 _READ_CHARS = 1 << 13
 _WRITE_ROWS = 4096
-# _pair walks the metric timestamps this many at a time.
+# align walks the metric timestamps this many at a time.
 _PAIR_ROWS = 4096
 # On lines of only these characters, np.loadtxt reads each field as float() does.
 _PLAIN_BLOCK = re.compile(r"[0-9.eE+\-,\n]*")
@@ -206,15 +204,13 @@ class _Columns:
         self._hold(_float_rows(rows, type(self), copy=True))
 
     @classmethod
-    def _adopt(cls, data: np.ndarray, **attributes):
+    def _adopt(cls, data: np.ndarray):
         """A cls holding the fresh float64 array data itself, checked and frozen as __init__ does.
 
-        For an array that only its maker holds, which must not write to it again; attributes
-        are set on the trace.
+        For an array that only its maker holds, which must not write to it again.
         """
         trace = cls.__new__(cls)
         trace._hold(_float_rows(data, cls))
-        vars(trace).update(attributes)
         return trace
 
     def _hold(self, data: np.ndarray) -> None:
@@ -262,25 +258,29 @@ class PowerTrace(_Columns):
     record = PowerSample
 
 
-class AlignedTrace(_Columns):
-    """Paired (regressors, power) rows, strictly increasing in time.
+@dataclass(frozen=True, eq=False)
+class AlignedTrace:
+    """What align returns: the paired rows of metrics and power, found again as they are read.
 
-    Columns timestamp, cpu, mem, disk, net, power_w.
+    kept counts, for each _PAIR_ROWS block of metrics, the samples that find a power sample
+    within tolerance_s; the length is their sum, the number of paired rows.
     """
 
-    record = AlignedRow
+    metrics: MetricTrace
+    power: PowerTrace
+    tolerance_s: float
+    kept: np.ndarray
+    source_meta: AlignmentMeta
 
-    def __init__(self, rows, source_meta: AlignmentMeta):
-        super().__init__(rows)
-        self.source_meta = source_meta
+    def __len__(self) -> int:
+        return int(self.kept.sum())
 
     @property
     def rows(self) -> tuple[AlignedRow, ...]:
-        return tuple(self)
-
-    def __eq__(self, other):
-        same = super().__eq__(other)
-        return same if same is NotImplemented else same and self.source_meta == other.source_meta
+        """The paired rows as records, read in one block."""
+        _, block = next(_paired_blocks(self, max(1, len(self)), MetricSample._fields)[1])
+        columns = (getattr(block, name).tolist() for name in AlignedRow._fields)
+        return tuple(map(AlignedRow._make, zip(*columns)))
 
 
 def _floats(lines: list[str], width: int):
@@ -446,22 +446,8 @@ def align(metrics, power, tolerance_s: float) -> AlignedTrace:
     Either stream may be a trace or a sequence of its records. Metric
     samples with no power sample in range are dropped (and counted); one
     power sample may serve several metric samples. Equidistant candidates
-    resolve to the earlier power sample.
-    """
-    pairing, meta = _pair(metrics, power, tolerance_s)
-    n, blocks = _paired_blocks(pairing, _WRITE_ROWS, MetricSample._fields)
-    data = np.empty((n, len(AlignedRow._fields)))
-    for rows, block in blocks:
-        np.stack([getattr(block, name) for name in AlignedRow._fields], axis=1, out=data[rows])
-    return AlignedTrace._adopt(data, source_meta=meta)
-
-
-def _pair(metrics, power, tolerance_s: float):
-    """The pairing of metrics with power: ((metrics, power, tolerance_s, kept), meta).
-
-    metrics and power come back as traces; kept counts, for each _PAIR_ROWS block of metric
-    samples, those that find a power sample by align's rule. meta counts the samples;
-    AlignmentError when no metric sample is kept.
+    resolve to the earlier power sample. AlignmentError when no metric
+    sample is kept.
     """
     if not (tolerance_s > 0.0) or not math.isfinite(tolerance_s):
         raise TraceError(f"tolerance_s must be a positive number, got {tolerance_s}")
@@ -471,7 +457,7 @@ def _pair(metrics, power, tolerance_s: float):
     meta = AlignmentMeta(len(metrics), len(power), n_dropped=len(metrics) - int(kept.sum()))
     if not kept.any():
         raise AlignmentError(tolerance_s, meta)
-    return (metrics, power, tolerance_s, kept), meta
+    return AlignedTrace(metrics, power, tolerance_s, kept, meta)
 
 
 def _pair_rows(metrics, power, tolerance_s: float, starts):
@@ -508,24 +494,18 @@ def _taken(pieces, sizes):
         held = held[:, size:]
 
 
-def _paired_blocks(pairs, block_rows: int, fields=MetricSample._fields[1:]):
-    """(n, blocks): the n paired rows of pairs in even blocks, none under block_rows unless n is.
+def _paired_blocks(aligned: AlignedTrace, block_rows: int, fields=MetricSample._fields[1:]):
+    """(n, blocks): the n paired rows of aligned in even blocks, none under block_rows unless n is.
 
-    pairs is a pairing (metrics, power, tolerance_s, kept) from _pair, whose metric blocks
-    that kept rows are paired once more as the blocks are read, or an AlignedTrace (or any
-    object with its columns and a length), whose rows are sliced. blocks yields (rows, block):
-    the slice of the paired rows, and their columns.
+    The metric blocks of aligned that kept rows are paired once more as the blocks are read.
+    blocks yields (rows, block): the slice of the paired rows, and their columns.
     """
-    paired = isinstance(pairs, tuple)
-    metrics, power, tolerance_s, kept = pairs if paired else (pairs, pairs, None, None)
-    n = int(kept.sum()) if paired else len(pairs)
+    metrics, power, n = aligned.metrics, aligned.power, len(aligned)
     count = max(1, n // block_rows)
     slices = [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
-    if paired:
-        pieces = _pair_rows(metrics, power, tolerance_s, np.flatnonzero(kept) * _PAIR_ROWS)
-        indices = _taken(pieces, (rows.stop - rows.start for rows in slices))
-    else:  # row i of an aligned trace pairs its own columns
-        indices = ((rows, rows) for rows in slices)
+    starts = np.flatnonzero(aligned.kept) * _PAIR_ROWS
+    pieces = _pair_rows(metrics, power, aligned.tolerance_s, starts)
+    indices = _taken(pieces, (rows.stop - rows.start for rows in slices))
 
     def block(rows, m, p):  # fields from metrics at rows m and power_w from power at rows p
         columns = {name: getattr(metrics, name)[m] for name in fields}

@@ -5,12 +5,12 @@ import json
 import pytest
 
 from wattmodel import (
-    AlignedRow,
-    AlignedTrace,
-    AlignmentMeta,
     FitDiagnostics,
     GroundTruth,
+    MetricTrace,
     PowerModel,
+    PowerTrace,
+    align,
 )
 
 # Coefficients used throughout as a realistic ground truth: baseline watts
@@ -26,13 +26,10 @@ REF_TRUTH = GroundTruth(
 
 
 def make_trace(cpu, mem, disk, net, power, start=0.0, step=60.0):
-    """Build an AlignedTrace directly from parallel value sequences."""
-    rows = tuple(
-        AlignedRow(start + i * step, c, m, d, e, p)
-        for i, (c, m, d, e, p) in enumerate(zip(cpu, mem, disk, net, power))
-    )
-    meta = AlignmentMeta(n_metrics=len(rows), n_power=len(rows), n_dropped=0)
-    return AlignedTrace(rows=rows, source_meta=meta)
+    """Align a metric and a power trace built on one grid from parallel value sequences."""
+    stamps = [start + i * step for i in range(len(power))]
+    metrics = MetricTrace(list(zip(stamps, cpu, mem, disk, net)))
+    return align(metrics, PowerTrace(list(zip(stamps, power))), step / 2)
 
 
 def exact_model(alpha, beta_cpu=0.0, beta_mem=0.0, beta_disk=0.0, beta_net=0.0):

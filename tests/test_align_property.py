@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from wattmodel import AlignmentError, MetricSample, PowerSample, align
 from wattmodel import trace as trace_module
+from wattmodel.trace import _paired_blocks
 
 
 @st.composite
@@ -49,7 +50,8 @@ def brute_force_align(metric_ts, power_ts, watts, tolerance):
     return kept
 
 
-def check_align_against_brute_force(case):
+def check_align_against_brute_force(case, block_rows=None):
+    """align against the reference, its rows read as records or, given block_rows, in such blocks."""
     metric_ts, power_ts, tolerance = case
     watts = [100.0 + i for i in range(len(power_ts))]
     metrics = [MetricSample(t, 0.5, 1.0, 1.0, 1.0) for t in metric_ts]
@@ -62,7 +64,13 @@ def check_align_against_brute_force(case):
         assert exc_info.value.n_dropped == len(metric_ts)
         return
     trace = align(metrics, power, tolerance)
-    assert list(zip(trace.timestamp.tolist(), trace.power_w.tolist())) == expected
+    if block_rows is None:
+        got = [(row.timestamp, row.power_w) for row in trace.rows]
+    else:
+        n, blocks = _paired_blocks(trace, block_rows, ("timestamp",))
+        assert n == len(trace)
+        got = [pair for _, b in blocks for pair in zip(b.timestamp.tolist(), b.power_w.tolist())]
+    assert got == expected
     assert trace.source_meta.n_metrics == len(metric_ts)
     assert trace.source_meta.n_power == len(power_ts)
     assert trace.source_meta.n_dropped == len(metric_ts) - len(expected)
@@ -78,19 +86,17 @@ def test_align_matches_brute_force_nearest_search(case):
 @settings(max_examples=300, deadline=None)
 @given(case=streams())
 def test_align_matches_brute_force_across_block_seams(block_rows, case):
-    # align reads its rows in blocks of at least trace._WRITE_ROWS (4,096), so
-    # at that size every example here is one block; smaller blocks check the seams
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trace_module, "_WRITE_ROWS", block_rows)
-        check_align_against_brute_force(case)
+    # train and evaluate read the pairs in blocks of at least BLOCK_ROWS (1,024),
+    # so at that size every example here is one block; smaller blocks check the seams
+    check_align_against_brute_force(case, block_rows)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 @settings(max_examples=300, deadline=None)
 @given(case=streams())
 def test_align_matches_brute_force_across_pairing_blocks(block_rows, case):
-    # _pair walks the metric stamps trace._PAIR_ROWS (4,096) at a time, and
-    # align's blocks join the kept rows of many smaller walks: their seams
+    # align walks the metric stamps trace._PAIR_ROWS (4,096) at a time, and
+    # the blocks read back join the kept rows of many smaller walks: their seams
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace_module, "_PAIR_ROWS", block_rows)
         check_align_against_brute_force(case)

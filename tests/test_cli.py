@@ -1,7 +1,10 @@
 """End-to-end command-line tests: output streams, files, exit codes."""
 
+import importlib.util
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -25,7 +28,7 @@ from wattmodel import (
     parse_metrics,
     save_model,
 )
-from wattmodel import cli
+from wattmodel import cli, powermodel, regression
 from wattmodel.cli import main
 from wattmodel.powermodel import BLOCK_ROWS
 
@@ -140,6 +143,38 @@ def test_fit_and_evaluate_report_dropped_rows(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["n"] == 230
     assert err.endswith(drop_line)
+
+
+def load_stages():
+    """perfbench/stages.py, imported by its path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "stages.py"
+    spec = importlib.util.spec_from_file_location("perfbench_stages", path)
+    stages = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stages)
+    return stages
+
+
+def test_traced_fit_reports_the_align_span(tmp_path, capsys, monkeypatch):
+    # the benchmark's tracer wraps the functions that cli holds: align is one of them
+    model_path, metrics_path, power_path = fit_model_file(tmp_path)
+    lines = power_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    power_path.write_text("".join(lines[:51] + lines[61:]), encoding="utf-8")
+    for module in (cli, powermodel, regression):  # undo what install rebinds
+        for name, value in list(vars(module).items()):
+            if inspect.isfunction(value):
+                monkeypatch.setattr(module, name, value)
+    design = regression.DesignMatrix
+    monkeypatch.setattr(design, "from_regressors", vars(design)["from_regressors"])
+    tracer = load_stages().Tracer()
+    tracer.install(cli, powermodel, regression)
+    capsys.readouterr()
+    assert main(["fit", "--metrics", str(metrics_path), "--power", str(power_path),
+                 "--out", str(model_path)]) == 0
+    found = re.search(r"dropped (\d+) of (\d+) metric samples", capsys.readouterr().err)
+    dropped, total = map(int, found.groups())
+    assert (dropped, total) == (10, 240)
+    spans = [span for span in tracer.spans if span["name"] == "trace.align"]
+    assert [(span["rows_in"], span["rows_out"]) for span in spans] == [(total, total - dropped)]
 
 
 # ----------------------------------------------------------------- predict
@@ -498,6 +533,7 @@ SIMULATE_OUT_OF_RANGE = [
     ["--beta-net", "1e301"],
     ["--duration-s", "1e15", "--interval-s", "1"],
     ["--duration-s", "1e20", "--interval-s", "1"],
+    ["--profile", "bursty", "--duration-s", "1.79e308", "--interval-s", "1.79e305"],
 ]
 
 

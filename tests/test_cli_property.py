@@ -14,7 +14,8 @@ from wattmodel.simgen import MAX_SAMPLES
 
 # typical values, zero, negatives, infinities, nan, a subnormal and near-overflow values
 FLOATS = st.sampled_from(
-    [1.0, 60.0, 107.5, 3600.0, 0.0, -1.0, math.inf, -math.inf, math.nan, 1e-320, 1e301, 1e308]
+    [1.0, 60.0, 107.5, 3600.0, 0.0, -1.0, math.inf, -math.inf, math.nan, 1e-320, 1e301, 1e308,
+     1.79e308]
 )
 MONTHS = st.sampled_from([-1, 0, 1, 12_000, 12_001, 10**11])
 SEEDS = st.sampled_from([-1, 0, 1, 2**70 + 3])
@@ -74,6 +75,8 @@ def _check_exit(argv, capsys) -> None:
          duration_interval=(1.6e308, 8e307))
 @example(profile="bursty", truth=DEFAULT_TRUTH, noise=0.0, seed=1,
          duration_interval=(1e-323, 5e-324))
+@example(profile="bursty", truth=DEFAULT_TRUTH, noise=0.0, seed=1,
+         duration_interval=(1.79e308, 1.79e305))
 def test_simulate_flags_never_raise(tmp_path, capsys, profile, truth, noise, seed,
                                     duration_interval):
     duration, interval = duration_interval

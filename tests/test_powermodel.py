@@ -10,6 +10,8 @@ import pytest
 
 from conftest import REF_TRUTH, exact_model, make_trace
 from wattmodel import (
+    AlignedTrace,
+    AlignmentMeta,
     FitDiagnostics,
     InsufficientDataError,
     MetricSample,
@@ -32,7 +34,7 @@ from wattmodel import (
 from wattmodel import powermodel
 from wattmodel import trace as trace_module
 from wattmodel.powermodel import BLOCK_ROWS
-from wattmodel.trace import _pair, _paired_blocks
+from wattmodel.trace import _paired_blocks
 
 
 def simulated_trace(noise=0.0, seed=1, n=720, profile="bursty", truth=REF_TRUTH):
@@ -73,10 +75,6 @@ def test_train_rejects_five_rows():
     message = "^need at least 6 rows to fit 5 parameters, got 5$"
     with pytest.raises(InsufficientDataError, match=message):
         train(trace)
-    rows = np.asarray(trace)
-    pairing, _ = _pair(MetricTrace(rows[:, :5]), PowerTrace(rows[:, [0, 5]]), 1.0)
-    with pytest.raises(InsufficientDataError, match=message):
-        train(pairing)
 
 
 def blocked_pair(n=3 * BLOCK_ROWS + 600):
@@ -87,22 +85,30 @@ def blocked_pair(n=3 * BLOCK_ROWS + 600):
     return metrics, PowerTrace(np.delete(np.asarray(power), np.s_[1000:1500], axis=0))
 
 
+def realigned(pairing):
+    """The paired rows of pairing as a metric and a power trace on their own stamps, aligned again.
+
+    Every metric sample of these finds its power sample, so no pairing block drops a row.
+    """
+    rows = np.array(pairing.rows)
+    return align(MetricTrace(rows[:, :5]), PowerTrace(rows[:, [0, 5]]), 0.5)
+
+
 @pytest.mark.parametrize("pair_rows", [1, 7, 4096])
 def test_train_on_a_pairing_is_train_on_its_aligned_trace(monkeypatch, pair_rows):
-    # with fewer pairing rows than BLOCK_ROWS, one block of train's reads many of _pair's
+    # with fewer pairing rows than BLOCK_ROWS, one block of train's reads many of align's
     monkeypatch.setattr(trace_module, "_PAIR_ROWS", pair_rows)
-    metrics, power = blocked_pair()
-    pairing, meta = _pair(metrics, power, 0.5)
-    assert meta.n_dropped == 500
-    assert train(pairing, created_at=0.0) == train(align(metrics, power, 0.5), created_at=0.0)
+    pairing = align(*blocked_pair(), 0.5)
+    assert pairing.source_meta.n_dropped == 500
+    assert train(pairing, created_at=0.0) == train(realigned(pairing), created_at=0.0)
 
 
 def test_train_reads_even_blocks_of_at_least_block_rows():
     metrics, _ = blocked_pair()
     power = PowerTrace(np.column_stack([metrics.timestamp, metrics.cpu + 100.0]))
     for n in (6, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 3 * BLOCK_ROWS + 100):
-        pairing, meta = _pair(MetricTrace(np.asarray(metrics)[:n]), power, 0.5)
-        assert meta.n_dropped == 0
+        pairing = align(MetricTrace(np.asarray(metrics)[:n]), power, 0.5)
+        assert pairing.source_meta.n_dropped == 0
         _, blocks = _paired_blocks(pairing, BLOCK_ROWS)
         blocks = [block for _, block in blocks]
         sizes = [len(block.power_w) for block in blocks]
@@ -116,7 +122,7 @@ def test_train_reads_even_blocks_of_at_least_block_rows():
 
 
 def test_blocked_train_matches_one_block_train(monkeypatch):
-    pairing, _ = _pair(*blocked_pair(), 0.5)
+    pairing = align(*blocked_pair(), 0.5)
     assert len(list(_paired_blocks(pairing, BLOCK_ROWS)[1])) == 3
     blocked = train(pairing, created_at=0.0)
     monkeypatch.setattr(powermodel, "BLOCK_ROWS", 10**9)
@@ -134,7 +140,7 @@ def test_blocked_train_names_a_constant_column():
     metrics, power = blocked_pair()
     rows = np.array(metrics)
     rows[:, 3] = 20.0  # disk
-    pairing, _ = _pair(MetricTrace(rows), power, 0.5)
+    pairing = align(MetricTrace(rows), power, 0.5)
     with pytest.raises(RankDeficiencyError) as exc_info:
         train(pairing)
     assert exc_info.value.column == "disk"
@@ -218,14 +224,19 @@ def test_evaluate_symmetric_errors_average():
     assert evaluate(model, trace).mape == pytest.approx(10.0, rel=1e-12)
 
 
+def empty_trace():
+    return AlignedTrace(MetricTrace(), PowerTrace(), 30.0, np.zeros(0, dtype=int),
+                        AlignmentMeta(n_metrics=0, n_power=0, n_dropped=0))
+
+
 def test_evaluate_rejects_empty_trace():
-    trace = make_trace(cpu=[], mem=[], disk=[], net=[], power=[])
+    trace = empty_trace()
     with pytest.raises(ValueError):
         evaluate(exact_model(1.0), trace)
 
 
 def test_evaluate_empty_trace_is_trace_error():
-    trace = make_trace(cpu=[], mem=[], disk=[], net=[], power=[])
+    trace = empty_trace()
     with pytest.raises(TraceError, match="empty trace"):
         evaluate(exact_model(1.0), trace)
 
@@ -246,13 +257,12 @@ def test_evaluate_subnormal_power_is_trace_error():
 @pytest.mark.parametrize("pair_rows", [1, 7, 4096])
 def test_evaluate_on_a_pairing_is_evaluate_on_its_aligned_trace(monkeypatch, pair_rows):
     monkeypatch.setattr(trace_module, "_PAIR_ROWS", pair_rows)
-    metrics, power = blocked_pair()
-    pairing, _ = _pair(metrics, power, 0.5)
-    trace = align(metrics, power, 0.5)
+    pairing = align(*blocked_pair(), 0.5)
+    trace = realigned(pairing)
     assert len(list(_paired_blocks(pairing, BLOCK_ROWS)[1])) == 3
     # with the second model, adding up the blocks' sums of percent errors changes the last bit
     for model in (train(pairing), exact_model(150.0)):
-        pred, p = predict(model, trace), trace.power_w
+        pred, p = predict(model, trace.metrics), trace.power.power_w
         reference = 100 * np.mean(abs(pred - p) / p)  # over the whole columns at once
         for report in (evaluate(model, pairing), evaluate(model, trace)):
             assert report.mape.hex() == float(reference).hex()
@@ -266,40 +276,20 @@ def test_evaluate_names_a_row_past_the_first_block_by_its_paired_row(aligned):
     rows = np.array(metrics)
     rows[:, 4] = 0.0  # net
     rows[2500, 4] = 1e10  # metric rows 1000-1499 find no power sample: this is paired row 2000
-    pairing, _ = _pair(MetricTrace(rows), power, 0.5)
-    aligned_trace = align(MetricTrace(rows), power, 0.5)
-    assert aligned_trace.timestamp[2000] == rows[2500, 0]
+    pairing = align(MetricTrace(rows), power, 0.5)
+    aligned_trace = realigned(pairing)
+    assert aligned_trace.metrics.timestamp[2000] == rows[2500, 0]
     trace = aligned_trace if aligned else pairing
     with pytest.raises(ModelFormatError, match="^model prediction for row 2000 is not finite$"):
         evaluate(exact_model(100.0, beta_net=1e300), trace)
 
 
-class ColumnsOnly:
-    """The other input the README documents: cpu, mem, disk, net and power_w columns, a length."""
-
-    def __init__(self, trace):
-        for name in ("cpu", "mem", "disk", "net", "power_w"):
-            setattr(self, name, np.array(getattr(trace, name)))
-
-    def __len__(self):
-        return len(self.power_w)
-
-
-def test_train_and_evaluate_take_columns_and_a_length():
-    trace = align(*blocked_pair(), 0.5)
-    columns = ColumnsOnly(trace)
-    assert not hasattr(columns, "timestamp")
-    model = train(columns, created_at=0.0)
-    assert model == train(trace, created_at=0.0)
-    assert evaluate(model, columns) == evaluate(model, trace)
-
-
 def test_predict_on_a_trace_matches_each_record():
     trace = simulated_trace(noise=1.0, seed=4, n=50)
     model = train(trace)
-    watts = predict(model, trace)
+    watts = predict(model, trace.metrics)
     assert watts.shape == (50,)
-    assert watts.tolist() == [predict(model, row) for row in trace]
+    assert watts.tolist() == [predict(model, row) for row in trace.rows]
 
 
 def test_training_minimizes_squared_residuals():

@@ -269,6 +269,8 @@ def test_config_validation():
     with pytest.raises(SimConfigError, match="diurnal angle"):
         config(profile="diurnal", duration=1.6e308, interval=8e307)  # 2 pi t is not finite
     config(profile="bursty", duration=1.6e308, interval=8e307)
+    with pytest.raises(SimConfigError, match="bursty time plus phase"):
+        config(profile="bursty", duration=1.79e308, interval=1.79e305)  # t + phase is not finite
     metrics, _ = generate(config(profile="diurnal", duration=2.8e307, interval=1.4e307))
     assert np.isfinite(metrics.cpu).all()
     with pytest.raises(SimConfigError):

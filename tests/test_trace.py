@@ -12,10 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wattmodel import (
-    AlignedRow,
-    AlignedTrace,
     AlignmentError,
-    AlignmentMeta,
     MetricSample,
     MetricTrace,
     ParseError,
@@ -147,7 +144,6 @@ def test_trace_columns_are_read_only():
 @pytest.mark.parametrize("kind, args", [
     (MetricTrace, ()),
     (PowerTrace, ()),
-    (AlignedTrace, (AlignmentMeta(n_metrics=3, n_power=3, n_dropped=0),)),
 ])
 def test_trace_constructors_copy_the_callers_array(kind, args):
     rows = np.column_stack([np.arange(3.0), np.full((3, len(kind.record._fields) - 1), 0.5)])
@@ -221,18 +217,6 @@ def test_rows_of_the_wrong_width_or_ragged_raise_trace_error():
             make(rows)
     assert format_power([]) == POWER_CSV
     assert format_power(np.empty((0, 2))) == POWER_CSV
-
-
-def test_aligned_trace_checks_every_rule():
-    meta = AlignmentMeta(n_metrics=2, n_power=2, n_dropped=0)
-    good = AlignedRow(0.0, 0.5, 1.0, 1.0, 1.0, 100.0)
-    assert AlignedTrace([good], meta).rows == (good,)
-    with pytest.raises(TraceError, match="decreases"):
-        AlignedTrace([good._replace(timestamp=1.0), good], meta)
-    with pytest.raises(TraceError, match="power_w must be > 0"):
-        AlignedTrace([good._replace(power_w=0.0)], meta)
-    with pytest.raises(TraceError, match="cpu"):
-        AlignedTrace([good._replace(cpu=1.5)], meta)
 
 
 def test_parse_reports_the_first_fault_before_a_later_unreadable_line():
@@ -426,7 +410,7 @@ def test_align_out_of_tolerance_raises_with_counts():
 
 
 def test_pair_holds_under_two_bytes_per_metric_row():
-    # _pair walks the metric timestamps in blocks and keeps one count of kept
+    # align walks the metric timestamps in blocks and keeps one count of kept
     # rows per block; the paired rows are found again as they are read
     n = 200_000
     stamps = np.arange(n) * 2.0
@@ -434,15 +418,15 @@ def test_pair_holds_under_two_bytes_per_metric_row():
     power = PowerTrace(np.column_stack([stamps[::2] + 0.5, np.arange(n // 2) + 100.0]))
     tracemalloc.start()
     try:
-        pairing, meta = trace._pair(metrics, power, 1.0)
+        aligned = trace.align(metrics, power, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    _, blocks = trace._paired_blocks(pairing, 1024, ("timestamp",))
+    _, blocks = trace._paired_blocks(aligned, 1024, ("timestamp",))
     blocks = [block for _, block in blocks]
     assert np.concatenate([b.timestamp for b in blocks]).tolist() == stamps[::2].tolist()
     assert np.concatenate([b.power_w for b in blocks]).tolist() == power.power_w.tolist()
-    assert meta.n_dropped == n // 2
+    assert aligned.source_meta.n_dropped == n // 2
     assert peak < 2 * n, peak / n
 
 
@@ -496,7 +480,9 @@ def test_align_permutation_independent():
     rng.shuffle(shuffled_p)
     shuffled_m.sort(key=lambda s: s.timestamp)
     shuffled_p.sort(key=lambda s: s.timestamp)
-    assert align(shuffled_m, shuffled_p, 5.0) == baseline
+    shuffled = align(shuffled_m, shuffled_p, 5.0)
+    assert shuffled.rows == baseline.rows
+    assert shuffled.source_meta == baseline.source_meta
 
 
 def test_align_validates_inputs():
