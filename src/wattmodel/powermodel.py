@@ -78,10 +78,9 @@ def train(trace: AlignedTrace, hardware_id: str = "", created_at: float | None =
     there are fewer), so one block of the design is held at a time and,
     given MIN_ROWS rows, none has fewer.
     """
-    _, blocks = _paired_blocks(trace, BLOCK_ROWS)
     coef, diagnostics = fit_ols(
         DesignMatrix.from_regressors(b.cpu, b.mem, b.disk, b.net, power=b.power_w)
-        for _, b in blocks
+        for _, b in _paired_blocks(trace, BLOCK_ROWS)
     )
     created_at = time.time() if created_at is None else created_at
     return PowerModel(*coef.tolist(), diagnostics, hardware_id, created_at)
@@ -122,12 +121,12 @@ def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
     trace is read in train's blocks; an error names a row by its place
     among all the paired rows.
     """
-    n, blocks = _paired_blocks(trace, BLOCK_ROWS)
+    n = len(trace)
     if not n:
         raise TraceError("cannot evaluate on an empty trace")
     relative, largest, overflowed = np.empty(n), 0.0, None  # overflowed: the first inf error's row
     with np.errstate(over="ignore"):
-        for rows, block in blocks:
+        for rows, block in _paired_blocks(trace, BLOCK_ROWS):
             errors = np.abs(_predict(model, block, rows.start) - block.power_w)
             largest = max(largest, float(errors.max()))
             if overflowed is None and math.isinf(largest):
@@ -138,7 +137,7 @@ def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
         if overflowed is not None:
             raise TraceError(f"the prediction error for row {overflowed} overflows")
         if not np.isfinite(relative).all():
-            smallest = min(b.power_w.min() for _, b in _paired_blocks(trace, BLOCK_ROWS)[1])
+            smallest = min(b.power_w.min() for _, b in _paired_blocks(trace, BLOCK_ROWS))
             raise TraceError(f"MAPE is not finite; the smallest power_w is {smallest:.6g} W")
         # the sum overflowed: average the errors divided by a power of two, then scale back
         exponent = int(np.frexp(relative.max())[1])

@@ -20,9 +20,9 @@ block of lines at a time, and written to an open text file a block of rows
 at a time.
 
 align pairs each metric sample with its nearest power sample, walking the
-metric timestamps in blocks, and keeps only how many rows each block kept;
-_paired_blocks reads the paired rows in blocks, pairing those metric blocks
-again as it goes. train, evaluate and AlignedTrace.rows read through it.
+metric timestamps in blocks, and keeps only how many rows each block kept.
+_paired_blocks yields the paired rows as AlignedRow blocks of columns, pairing
+those metric blocks again; train, evaluate and AlignedTrace.rows read them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -126,6 +125,8 @@ _PLAIN_BLOCK = re.compile(r"[0-9.eE+\-,\n]*")
 
 
 class AlignedRow(NamedTuple):
+    """A paired row, or a block of them as columns."""
+
     timestamp: float
     cpu: float
     mem: float
@@ -278,9 +279,8 @@ class AlignedTrace:
     @property
     def rows(self) -> tuple[AlignedRow, ...]:
         """The paired rows as records, read in one block."""
-        _, block = next(_paired_blocks(self, max(1, len(self)), MetricSample._fields)[1])
-        columns = (getattr(block, name).tolist() for name in AlignedRow._fields)
-        return tuple(map(AlignedRow._make, zip(*columns)))
+        _, block = next(_paired_blocks(self, max(1, len(self))))
+        return tuple(map(AlignedRow._make, zip(*(column.tolist() for column in block))))
 
 
 def _floats(lines: list[str], width: int):
@@ -484,31 +484,20 @@ def _pair_rows(metrics, power, tolerance_s: float, starts):
         yield pairs
 
 
-def _taken(pieces, sizes):
-    """For each size in sizes, the next size columns of the 2-row arrays pieces, joined."""
-    held = np.empty((2, 0), dtype=np.intp)
-    for size in sizes:
-        while held.shape[1] < size:
-            held = np.concatenate((held, next(pieces)), axis=1)
-        yield held[:, :size]
-        held = held[:, size:]
+def _paired_blocks(aligned: AlignedTrace, block_rows: int):
+    """(rows, block) for the paired rows of aligned in even blocks, none under block_rows unless n is.
 
-
-def _paired_blocks(aligned: AlignedTrace, block_rows: int, fields=MetricSample._fields[1:]):
-    """(n, blocks): the n paired rows of aligned in even blocks, none under block_rows unless n is.
-
-    The metric blocks of aligned that kept rows are paired once more as the blocks are read.
-    blocks yields (rows, block): the slice of the paired rows, and their columns.
+    rows slices the n paired rows, and block is an AlignedRow of their columns, paired again.
     """
     metrics, power, n = aligned.metrics, aligned.power, len(aligned)
     count = max(1, n // block_rows)
-    slices = [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
     starts = np.flatnonzero(aligned.kept) * _PAIR_ROWS
     pieces = _pair_rows(metrics, power, aligned.tolerance_s, starts)
-    indices = _taken(pieces, (rows.stop - rows.start for rows in slices))
-
-    def block(rows, m, p):  # fields from metrics at rows m and power_w from power at rows p
-        columns = {name: getattr(metrics, name)[m] for name in fields}
-        return rows, SimpleNamespace(**columns, power_w=power.power_w[p])
-
-    return n, (block(rows, m, p) for rows, (m, p) in zip(slices, indices))
+    held = np.empty((2, 0), dtype=np.intp)  # pairs read from pieces but not yet yielded
+    for i in range(count):
+        rows = slice(n * i // count, n * (i + 1) // count)
+        size = rows.stop - rows.start
+        while held.shape[1] < size:
+            held = np.concatenate((held, next(pieces)), axis=1)
+        (m, p), held = held[:, :size], held[:, size:]
+        yield rows, AlignedRow(*(column[m] for column in metrics._data.T), power.power_w[p])

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import REF_TRUTH, exact_model, make_trace
 from wattmodel import (
+    AlignedRow,
     AlignedTrace,
     AlignmentMeta,
     FitDiagnostics,
@@ -109,8 +110,13 @@ def test_train_reads_even_blocks_of_at_least_block_rows():
     for n in (6, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 3 * BLOCK_ROWS + 100):
         pairing = align(MetricTrace(np.asarray(metrics)[:n]), power, 0.5)
         assert pairing.source_meta.n_dropped == 0
-        _, blocks = _paired_blocks(pairing, BLOCK_ROWS)
-        blocks = [block for _, block in blocks]
+        read = list(_paired_blocks(pairing, BLOCK_ROWS))
+        blocks = [block for _, block in read]
+        for rows, block in read:  # six float64 columns, each as long as the block's slice
+            assert type(block) is AlignedRow
+            assert [(column.dtype, len(column)) for column in block] == [
+                (np.float64, rows.stop - rows.start)] * len(AlignedRow._fields)
+        assert [rows.start for rows, _ in read] == [0] + [rows.stop for rows, _ in read][:-1]
         sizes = [len(block.power_w) for block in blocks]
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
@@ -119,11 +125,13 @@ def test_train_reads_even_blocks_of_at_least_block_rows():
         cpu = np.concatenate([block.cpu for block in blocks])
         power_w = np.concatenate([block.power_w for block in blocks])
         assert np.array_equal(cpu, metrics.cpu[:n]) and np.array_equal(power_w, power.power_w[:n])
+        records = (row for _, b in read for row in zip(*(column.tolist() for column in b)))
+        assert tuple(map(AlignedRow._make, records)) == pairing.rows
 
 
 def test_blocked_train_matches_one_block_train(monkeypatch):
     pairing = align(*blocked_pair(), 0.5)
-    assert len(list(_paired_blocks(pairing, BLOCK_ROWS)[1])) == 3
+    assert len(list(_paired_blocks(pairing, BLOCK_ROWS))) == 3
     blocked = train(pairing, created_at=0.0)
     monkeypatch.setattr(powermodel, "BLOCK_ROWS", 10**9)
     whole = train(pairing, created_at=0.0)
@@ -259,7 +267,7 @@ def test_evaluate_on_a_pairing_is_evaluate_on_its_aligned_trace(monkeypatch, pai
     monkeypatch.setattr(trace_module, "_PAIR_ROWS", pair_rows)
     pairing = align(*blocked_pair(), 0.5)
     trace = realigned(pairing)
-    assert len(list(_paired_blocks(pairing, BLOCK_ROWS)[1])) == 3
+    assert len(list(_paired_blocks(pairing, BLOCK_ROWS))) == 3
     # with the second model, adding up the blocks' sums of percent errors changes the last bit
     for model in (train(pairing), exact_model(150.0)):
         pred, p = predict(model, trace.metrics), trace.power.power_w

@@ -131,6 +131,7 @@ def test_trace_columns_records_and_length():
     assert list(trace) == [trace[0], trace[1]]
     assert MetricTrace(np.asarray(trace)) == trace
     assert MetricTrace() == MetricTrace([])
+    assert MetricTrace() != PowerTrace()
 
 
 def test_trace_columns_are_read_only():
@@ -422,8 +423,7 @@ def test_pair_holds_under_two_bytes_per_metric_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    _, blocks = trace._paired_blocks(aligned, 1024, ("timestamp",))
-    blocks = [block for _, block in blocks]
+    blocks = [block for _, block in trace._paired_blocks(aligned, 1024)]
     assert np.concatenate([b.timestamp for b in blocks]).tolist() == stamps[::2].tolist()
     assert np.concatenate([b.power_w for b in blocks]).tolist() == power.power_w.tolist()
     assert aligned.source_meta.n_dropped == n // 2
