@@ -421,7 +421,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         EnergyError,
         TariffError,
         RegressionError,
-        UnicodeDecodeError,
+        UnicodeError,
         OSError,
     ) as exc:
         print(f"wattmodel: data error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .regression import COLUMN_NAMES, DesignMatrix, FitDiagnostics, fit_ols
+from .regression import COLUMN_NAMES, FitDiagnostics, _fit_blocks
 from .trace import AlignedTrace, TraceError, _paired_blocks
 
 __all__ = [
@@ -75,15 +75,20 @@ def train(trace: AlignedTrace, hardware_id: str = "", created_at: float | None =
 
     trace is what align returns. Its rows are paired again and gathered as
     they are read, in even blocks of at least BLOCK_ROWS (one block when
-    there are fewer), so one block of the design is held at a time and,
-    given MIN_ROWS rows, none has fewer.
+    there are fewer), and each block's [1 | x | y] goes straight to the
+    block fit, so one block of the design is held at a time.
     """
-    coef, diagnostics = fit_ols(
-        DesignMatrix.from_regressors(b.cpu, b.mem, b.disk, b.net, power=b.power_w)
-        for _, b in _paired_blocks(trace, BLOCK_ROWS)
-    )
+    coef, diagnostics = _fit_blocks(map(_design, _paired_blocks(trace, BLOCK_ROWS)), len(trace))
     created_at = time.time() if created_at is None else created_at
     return PowerModel(*coef.tolist(), diagnostics, hardware_id, created_at)
+
+
+def _design(read):
+    _, b = read
+    xy = np.empty((6, len(b.power_w)))
+    xy[0] = 1.0
+    xy[1], xy[2], xy[3], xy[4], xy[5] = b.cpu, b.mem, b.disk, b.net, b.power_w
+    return xy.T
 
 
 def predict(model: PowerModel, sample):

@@ -100,29 +100,26 @@ class DesignMatrix:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @classmethod
-    def from_regressors(cls, cpu, mem, disk, net, power) -> "DesignMatrix":
-        return cls(x=np.column_stack([np.ones(len(power)), cpu, mem, disk, net]), y=power)
 
-
-def fit_ols(design) -> tuple[np.ndarray, FitDiagnostics]:
+def fit_ols(design: DesignMatrix) -> tuple[np.ndarray, FitDiagnostics]:
     """Least-squares coefficients plus standard errors, t-stats, p-values, R².
 
-    design is one DesignMatrix, or an iterable of DesignMatrix blocks of the
-    rows, read one block at a time. Each block is reduced to the R factor of
-    its [x | y]; the blocks' factors are merged by one more QR (TSQR), so no
-    two blocks are held at once; the merge returns a single block's R unchanged.
     Standard errors use the unbiased residual variance and the diagonal of
     (R'R)^-1; R² is measured against the mean-only model.
     """
-    blocks = (design,) if isinstance(design, DesignMatrix) else design
-    parts, n = [], 0
-    for block in blocks:
-        parts.append(_block_r(np.column_stack([block.x, block.y])))
-        n += block.n
-    if not parts:
-        raise _too_few_rows(0)
-    return _fit_from_r(*_merge_r(parts), n)
+    return _fit_blocks([np.column_stack([design.x, design.y])], design.n)
+
+
+def _fit_blocks(blocks, n: int) -> tuple[np.ndarray, FitDiagnostics]:
+    """The fit of n rows from float64 blocks of their [x | y], column 0 all ones.
+
+    Each block is overwritten by its reduction to the R factor of its [x | y];
+    the blocks' factors are merged by one more QR (TSQR), so no two blocks are
+    held at once; the merge returns a single block's R unchanged.
+    """
+    if n < MIN_ROWS:
+        raise _too_few_rows(n)
+    return _fit_from_r(*_merge_r([_block_r(xy) for xy in blocks]), n)
 
 
 def _too_few_rows(n: int) -> InsufficientDataError:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import inspect
+import io
 import json
 import os
 import re
@@ -163,8 +164,6 @@ def test_traced_fit_reports_the_align_span(tmp_path, capsys, monkeypatch):
         for name, value in list(vars(module).items()):
             if inspect.isfunction(value):
                 monkeypatch.setattr(module, name, value)
-    design = regression.DesignMatrix
-    monkeypatch.setattr(design, "from_regressors", vars(design)["from_regressors"])
     tracer = load_stages().Tracer()
     tracer.install(cli, powermodel, regression)
     capsys.readouterr()
@@ -474,6 +473,17 @@ def test_cost_underflow_is_data_error(capsys):
         assert err.startswith("wattmodel: data error: cost underflows to zero in year 0")
         assert len(err.splitlines()) == 1
 
+
+
+def test_cost_table_that_stdout_cannot_encode_is_data_error(capsys, monkeypatch):
+    # the currency, a surrogate escape from argv, and a category label all reach one print
+    for flags in (["--currency", "\u20ac"], ["--currency", "\udcff"], ["--category", "Str\xf6m=5"]):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["cost", "--kwh-per-day", "1", "--rate", "0.1", "--months", "12", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("wattmodel: data error: 'ascii' codec can't encode character")
+        assert len(err.splitlines()) == 1
 
 # ---------------------------------------------------------------- simulate
 

@@ -7,6 +7,8 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import REF_TRUTH, exact_model, make_trace
 from wattmodel import (
@@ -77,6 +79,12 @@ def test_train_rejects_five_rows():
     with pytest.raises(InsufficientDataError, match=message):
         train(trace)
 
+
+
+def test_train_rejects_an_empty_trace():
+    message = "^need at least 6 rows to fit 5 parameters, got 0$"
+    with pytest.raises(InsufficientDataError, match=message):
+        train(empty_trace())
 
 def blocked_pair(n=3 * BLOCK_ROWS + 600):
     """A noisy 1 Hz metric and power trace over n seconds, the meter silent for 500 of them."""
@@ -153,6 +161,46 @@ def test_blocked_train_names_a_constant_column():
         train(pairing)
     assert exc_info.value.column == "disk"
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-1100, 1100), j=st.integers(-1100, 1100))
+@example(k=3, j=0)
+@example(k=-7, j=0)
+@example(k=0, j=5)
+@example(k=40, j=-3)
+def test_train_power_of_two_scalings_are_exact(k, j):
+    # mem, disk and net scaled by 2**k and power by 2**j, read in three or more
+    # blocks: every statistic is the unscaled one, exactly, wherever the data
+    # and the fit stay normal
+    metrics, power = blocked_pair()
+    pairing = align(metrics, power, 0.5)
+    assert len(list(_paired_blocks(pairing, BLOCK_ROWS))) >= 3
+    base = train(pairing, created_at=0.0)
+    shift = np.array([j, j, j - k, j - k, j - k])
+    with np.errstate(over="ignore"):
+        metric_rows = np.asarray(metrics).copy()
+        metric_rows[:, 2:] = np.ldexp(metric_rows[:, 2:], k)
+        power_rows = np.asarray(power).copy()
+        power_rows[:, 1] = np.ldexp(power_rows[:, 1], j)
+        want_beta = np.ldexp(dataclasses.astuple(base)[:5], shift)
+        want_se = np.ldexp(base.diagnostics.std_errors, shift)
+        want_sigma = np.ldexp(base.diagnostics.residual_sigma, j)
+    # every scaled value finite, and normal unless it was zero before scaling
+    smallest = np.finfo(float).tiny
+    assume(all(
+        np.isfinite(v).all() and ((np.abs(v) >= smallest) | (before == 0.0)).all()
+        for v, before in ((metric_rows, np.asarray(metrics)), (power_rows, np.asarray(power)),
+                          (want_beta, np.array(dataclasses.astuple(base)[:5])),
+                          (want_se, np.array(base.diagnostics.std_errors)),
+                          (want_sigma, base.diagnostics.residual_sigma))
+    ))
+    scaled = train(align(MetricTrace(metric_rows), PowerTrace(power_rows), 0.5), created_at=0.0)
+    assert list(dataclasses.astuple(scaled)[:5]) == want_beta.tolist()
+    d, base_d = scaled.diagnostics, base.diagnostics
+    assert d.std_errors == tuple(want_se.tolist())
+    assert d.residual_sigma == want_sigma
+    assert (d.t_stats, d.p_values, d.r_squared) == (base_d.t_stats, base_d.p_values, base_d.r_squared)
 
 def test_train_strong_noisy_signal_saturates_significance():
     trace = simulated_trace(noise=2.0, seed=42, n=5000)

@@ -27,7 +27,7 @@ from wattmodel import (
     fit_ols,
     student_t_sf,
 )
-from wattmodel.regression import _block_r, _fit_from_r, _merge_r
+from wattmodel.regression import _block_r, _fit_blocks, _fit_from_r, _merge_r
 
 
 def random_design(rng, n=50, native_scales=False):
@@ -271,10 +271,10 @@ def test_constant_response_is_handled():
 # -------------------------------------------------------- merged blocks
 
 
-def fit_or_error(design):
-    """fit_ols(design) as (beta, diagnostics), or the RegressionError it raised."""
+def fit_or_error(fit, *args):
+    """fit(*args) as (beta, diagnostics), or the RegressionError it raised."""
     try:
-        return fit_ols(design)
+        return fit(*args)
     except RegressionError as exc:
         return exc
 
@@ -329,8 +329,9 @@ def blocked_designs(draw):
 @given(blocked_designs())
 def test_merged_block_fit_matches_the_one_block_fit(case):
     x, y, cuts = case
-    blocks = (DesignMatrix(x=bx, y=by) for bx, by in zip(np.split(x, cuts), np.split(y, cuts)))
-    assert_same_fit(fit_or_error(blocks), fit_or_error(DesignMatrix(x=x, y=y)))
+    blocks = (np.column_stack([bx, by]) for bx, by in zip(np.split(x, cuts), np.split(y, cuts)))
+    whole = fit_or_error(fit_ols, DesignMatrix(x=x, y=y))
+    assert_same_fit(fit_or_error(_fit_blocks, blocks, len(y)), whole)
 
 
 def test_merge_rescale_below_the_normal_range_keeps_the_fit():
@@ -341,15 +342,16 @@ def test_merge_rescale_below_the_normal_range_keeps_the_fit():
     y = random_response(rng, x)
     x[:20, 2] *= 2.0**100
     x[20:, 2] *= 2.0**-930
-    blocks = [DesignMatrix(x=x[:20], y=y[:20]), DesignMatrix(x=x[20:], y=y[20:])]
-    (_, e1), (r2, e2) = (_block_r(np.column_stack([b.x, b.y])) for b in blocks)
+    blocks = [np.column_stack([x[:20], y[:20]]), np.column_stack([x[20:], y[20:]])]
+    (_, e1), (r2, e2) = (_block_r(xy.copy()) for xy in blocks)
     shifted = np.ldexp(r2, e2 - np.maximum(e1, e2))
     assert ((shifted != 0.0) & (np.abs(shifted) < np.finfo(float).tiny)).any()
-    assert_same_fit(fit_or_error(blocks), fit_or_error(DesignMatrix(x=x, y=y)))
+    whole = fit_or_error(fit_ols, DesignMatrix(x=x, y=y))
+    assert_same_fit(fit_or_error(_fit_blocks, blocks, len(y)), whole)
 
 
 def test_one_block_is_fitted_from_its_own_r():
-    # one block, alone or in a list, goes through the merge, which returns its R
+    # one block, through fit_ols or the block fit, goes through the merge, which returns its R
     # bit for bit: LAPACK's QR of an R factor is that factor, and the shift is 0
     rng = np.random.default_rng(8)
     for scales in ([1.0] * 5, [1.0, 1e200, 1e-200, 1e150, 1e-150], [1.0, 1e-200] * 2 + [1e200]):
@@ -361,7 +363,8 @@ def test_one_block_is_fitted_from_its_own_r():
         assert merged_r.tobytes() == r.tobytes()
         assert merged_exponent.tolist() == exponent.tolist()
         want_beta, want_diag = _fit_from_r(r, exponent, design.n)
-        for beta, diag in (fit_ols(design), fit_ols([design])):
+        one_block = [np.column_stack([x, design.y])]
+        for beta, diag in (fit_ols(design), _fit_blocks(one_block, design.n)):
             assert beta.tolist() == want_beta.tolist()
             assert diag == want_diag
 
@@ -369,7 +372,7 @@ def test_one_block_is_fitted_from_its_own_r():
 def test_no_blocks_is_insufficient_data():
     message = "^need at least 6 rows to fit 5 parameters, got 0$"
     with pytest.raises(InsufficientDataError, match=message):
-        fit_ols(iter([]))
+        _fit_blocks(iter([]), 0)
 
 
 # ------------------------------------------------------------ error paths
@@ -388,7 +391,7 @@ def test_residual_sigma_past_the_float_range_is_regression_error():
            1.5092470640955398e+197, 1.0288216259467382e+193, 5.360098582282827e+197]
     power = [1.0297320758001694e+308, 1.1903852541554448e+308, 1.2148870305892884e+308,
              -1.2444247734167321e+308, -1.4882311609680223e+308, 1.3878455940509142e+308]
-    design = DesignMatrix.from_regressors(cpu, mem, disk, net, power)
+    design = DesignMatrix(x=np.column_stack([np.ones(6), cpu, mem, disk, net]), y=power)
     with pytest.raises(RegressionError, match="^the residual sigma is outside the float range$"):
         fit_ols(design)
 
@@ -450,18 +453,6 @@ def test_design_validation():
     bad[0, 0] = 2.0  # intercept column must be all ones
     with pytest.raises(RegressionError):
         DesignMatrix(x=bad, y=y)
-
-
-def test_from_regressors_builds_intercept():
-    d = DesignMatrix.from_regressors(
-        cpu=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
-        mem=[1, 2, 3, 4, 5, 6],
-        disk=[6, 5, 4, 3, 2, 1],
-        net=[1, 3, 2, 5, 4, 6],
-        power=[10, 20, 30, 40, 50, 60],
-    )
-    assert d.n == 6
-    assert (d.x[:, 0] == 1.0).all()
 
 
 # ------------------------------------------------------- t survival function
