@@ -8,8 +8,8 @@ Exit codes:
   3  numerical error (rank-deficient design)
 
 Results go to stdout (JSON or CSV when machine output is requested, plain
-tables otherwise, never mixed); diagnostics and errors go to stderr. Set
-WATT_NO_COLOR to disable table styling.
+tables otherwise, never mixed); diagnostics and errors go to stderr. A failed
+command leaves stdout empty. Set WATT_NO_COLOR to disable table styling.
 """
 
 from __future__ import annotations
@@ -84,11 +84,24 @@ def _styling_enabled() -> bool:
     return sys.stdout is not None and sys.stdout.isatty() and not os.environ.get("WATT_NO_COLOR")
 
 
-def _print_table(text: str) -> None:
+def _out(text: str) -> None:
+    """The one stdout writer: text in one write, then a flush; nothing without a stdout."""
+    if sys.stdout is not None:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+
+
+def _err(line: str) -> None:
+    """The one stderr writer: one line; nothing without a stderr (no fd 2)."""
+    if sys.stderr is not None:
+        sys.stderr.write(line + "\n")
+
+
+def _table(text: str) -> str:
     if _styling_enabled():
         first, _, rest = text.partition("\n")
         text = f"\033[1m{first}\033[0m\n{rest}"
-    print(text)
+    return text + "\n"
 
 
 def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -119,13 +132,13 @@ def _coefficient_table(model: PowerModel) -> str:
     return _render_table(("Coefficient", "Symbol", "Value", "Std. error", "t", "p"), rows)
 
 
-def _print_json(document) -> None:
-    print(json.dumps(document, indent=2))
+def _json(document) -> str:
+    return json.dumps(document, indent=2) + "\n"
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     """One stderr line per warning, in place of Python's file:line and source echo."""
-    print(f"wattmodel: warning: {category.__name__}: {message}", file=sys.stderr)
+    _err(f"wattmodel: warning: {category.__name__}: {message}")
 
 
 def _check_tolerance(args) -> None:
@@ -145,33 +158,31 @@ def _paired(args):
     power = _parse_file(parse_power, args.power)
     if tolerance is None:
         tolerance = default_tolerance(metrics)
-        print(f"tolerance_s = {tolerance:.6g} (half the median metric interval)", file=sys.stderr)
+        _err(f"tolerance_s = {tolerance:.6g} (half the median metric interval)")
     aligned = align(metrics, power, tolerance)
     meta = aligned.source_meta
     if meta.n_dropped:
-        print(f"dropped {meta.n_dropped} of {meta.n_metrics} metric samples "
-              f"(no power sample within {tolerance:.6g} s)", file=sys.stderr)
+        _err(f"dropped {meta.n_dropped} of {meta.n_metrics} metric samples "
+             f"(no power sample within {tolerance:.6g} s)")
     return aligned
 
 
-def cmd_fit(args) -> None:
+def cmd_fit(args) -> str:
     _check_tolerance(args)
     model = train(_paired(args), hardware_id=args.hardware_id)
     document = save_model(model)
     Path(args.out).write_text(document, encoding="utf-8")
-    print(f"model written to {args.out}", file=sys.stderr)
+    _err(f"model written to {args.out}")
     if args.json:
-        print(document, end="")
-    else:
-        _print_table(_coefficient_table(model))
-        d = model.diagnostics
-        print(
-            f"\nR-squared {d.r_squared:.6g}   residual sigma {d.residual_sigma:.6g} W"
-            f"   n {d.n_samples}   df {d.df}"
-        )
+        return document
+    d = model.diagnostics
+    return _table(_coefficient_table(model)) + (
+        f"\nR-squared {d.r_squared:.6g}   residual sigma {d.residual_sigma:.6g} W"
+        f"   n {d.n_samples}   df {d.df}\n"
+    )
 
 
-def cmd_predict(args) -> None:
+def cmd_predict(args) -> str:
     model = load_model(_read_text(args.model))
     metrics = _parse_file(parse_metrics, args.metrics)
     if not metrics:
@@ -179,16 +190,17 @@ def cmd_predict(args) -> None:
     columns = (metrics.timestamp, predict(model, metrics))
     with Path(args.out).open("w", encoding="utf-8") as out:
         format_csv("timestamp,predicted_power_w", columns, out)
-    print(f"{len(metrics)} predictions written to {args.out}", file=sys.stderr)
+    _err(f"{len(metrics)} predictions written to {args.out}")
+    return ""
 
 
-def cmd_evaluate(args) -> None:
+def cmd_evaluate(args) -> str:
     _check_tolerance(args)
     model = load_model(_read_text(args.model))
-    _print_json(dataclasses.asdict(evaluate(model, _paired(args))))
+    return _json(dataclasses.asdict(evaluate(model, _paired(args))))
 
 
-def cmd_energy(args) -> None:
+def cmd_energy(args) -> str:
     have_power = args.power is not None
     have_model = args.model is not None or args.metrics is not None
     if have_power == have_model:
@@ -201,7 +213,7 @@ def cmd_energy(args) -> None:
         model = load_model(_read_text(args.model))
         metrics = _parse_file(parse_metrics, args.metrics)
         report = integrate_predicted(model, metrics)
-    _print_json(dataclasses.asdict(report))
+    return _json(dataclasses.asdict(report))
 
 
 def _parse_category(raw: str) -> tuple[str, float]:
@@ -238,7 +250,7 @@ def render_breakdown_text(report: BreakdownReport, currency: str) -> str:
     return _render_table(header, rows)
 
 
-def cmd_cost(args) -> None:
+def cmd_cost(args) -> str:
     if not math.isfinite(args.kwh_per_day) or args.kwh_per_day <= 0:
         raise UsageError(f"--kwh-per-day must be > 0, got {args.kwh_per_day}")
     if not math.isfinite(args.rate) or args.rate <= 0:
@@ -254,15 +266,13 @@ def cmd_cost(args) -> None:
     report = breakdown(projection.total_cost, categories)
 
     if args.json:
-        _print_json({
+        return _json({
             "projection": dataclasses.asdict(projection),
             "breakdown": dataclasses.asdict(report)["categories"],
             "breakdown_total": report.total,
         })
-    else:
-        _print_table(render_projection_text(projection, args.currency))
-        print()
-        _print_table(render_breakdown_text(report, args.currency))
+    return (_table(render_projection_text(projection, args.currency)) + "\n"
+            + _table(render_breakdown_text(report, args.currency)))
 
 
 def describe(config: SimConfig) -> str:
@@ -289,42 +299,38 @@ def _from_flags(cls, args, **given):
     return cls(**given, **flags)
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args) -> str:
     config = _from_flags(SimConfig, args, truth=_from_flags(GroundTruth, args))
     metrics, power = generate(config)
     with Path(args.out_metrics).open("w", encoding="utf-8") as out:
         format_metrics(metrics, out)
     with Path(args.out_power).open("w", encoding="utf-8") as out:
         format_power(power, out)
-    print(
-        f"{len(metrics)} samples written to {args.out_metrics} and {args.out_power}",
-        file=sys.stderr,
-    )
+    _err(f"{len(metrics)} samples written to {args.out_metrics} and {args.out_power}")
     if args.json:
-        _print_json({
+        return _json({
             "out_metrics": args.out_metrics,
             "out_power": args.out_power,
             "n_samples": len(metrics),
             "profile": config.workload_profile,
             "seed": config.seed,
         })
-    else:
-        print(describe(config))
+    return describe(config) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose failed write to stdout raises, as a failed flush of it does.
+    """An ArgumentParser that writes help through _out, so a failed write of it raises.
 
-    argparse drops the OSError of every write it makes, so help that never reached an
-    unbuffered stdout (a full device, say) would exit 0 with nothing said. Help for a
-    missing stdout (file None, which argparse would send to stderr) is not written.
+    argparse drops the OSError of every write it makes, so help that never reached
+    stdout (a full device, say) would exit 0 with nothing said. Help for a missing
+    stdout (file None, which argparse would send to stderr) is not written.
     """
 
     def _print_message(self, message, file=None):
-        if file is not sys.stdout:
+        if file is sys.stdout:
+            _out(message)
+        else:
             super()._print_message(message, file)
-        elif file is not None:
-            file.write(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,15 +411,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             # the tool's own warnings are diagnostics, whatever -W or PYTHONWARNINGS say
             for category in (GapWarning, FloorWarning):
                 warnings.simplefilter("default", category)
-            args.func(args)
+            _out(args.func(args))
     except SystemExit as exc:
         # argparse exits 2 on usage problems; this tool reserves 2 for data errors
         return EXIT_USAGE if exc.code else EXIT_OK
     except (UsageError, SimConfigError) as exc:
-        print(f"wattmodel: error: {exc}", file=sys.stderr)
+        _err(f"wattmodel: error: {exc}")
         return EXIT_USAGE
     except RankDeficiencyError as exc:
-        print(f"wattmodel: numerical error: {exc}", file=sys.stderr)
+        _err(f"wattmodel: numerical error: {exc}")
         return EXIT_NUMERIC
     except (
         TraceError,
@@ -424,6 +430,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         UnicodeError,
         OSError,
     ) as exc:
-        print(f"wattmodel: data error: {exc}", file=sys.stderr)
+        _err(f"wattmodel: data error: {exc}")
         return EXIT_DATA
     return EXIT_OK

@@ -129,11 +129,12 @@ def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
     n = len(trace)
     if not n:
         raise TraceError("cannot evaluate on an empty trace")
-    relative, largest, overflowed = np.empty(n), 0.0, None  # overflowed: the first inf error's row
+    relative, largest, smallest, overflowed = np.empty(n), 0.0, math.inf, None
     with np.errstate(over="ignore"):
         for rows, block in _paired_blocks(trace, BLOCK_ROWS):
             errors = np.abs(_predict(model, block, rows.start) - block.power_w)
             largest = max(largest, float(errors.max()))
+            smallest = min(smallest, float(block.power_w.min()))
             if overflowed is None and math.isinf(largest):
                 overflowed = rows.start + int(np.isinf(errors).argmax())
             np.divide(errors, block.power_w, out=relative[rows])
@@ -142,7 +143,6 @@ def evaluate(model: PowerModel, trace: AlignedTrace) -> EvaluationReport:
         if overflowed is not None:
             raise TraceError(f"the prediction error for row {overflowed} overflows")
         if not np.isfinite(relative).all():
-            smallest = min(b.power_w.min() for _, b in _paired_blocks(trace, BLOCK_ROWS))
             raise TraceError(f"MAPE is not finite; the smallest power_w is {smallest:.6g} W")
         # the sum overflowed: average the errors divided by a power of two, then scale back
         exponent = int(np.frexp(relative.max())[1])

@@ -318,10 +318,16 @@ def test_energy_metered_and_predicted(tmp_path, capsys):
     assert predicted["kwh"] == pytest.approx(metered["kwh"], rel=1e-6)
 
 
-def test_warnings_print_as_tool_diagnostics(tmp_path, capsys):
+def write_gappy_power(tmp_path):
+    """A power CSV with one sampling gap, which energy reports as a GapWarning."""
     power = tmp_path / "gappy.csv"
     stamps = [i * 10.0 for i in range(30)] + [5000.0 + i * 10.0 for i in range(30)]
     power.write_text(format_power([(t, 200.0) for t in stamps]), encoding="utf-8")
+    return power
+
+
+def test_warnings_print_as_tool_diagnostics(tmp_path, capsys):
+    power = write_gappy_power(tmp_path)
     shown_before = warnings.showwarning
     for _ in range(2):  # shown on every run, not once per process
         assert main(["energy", "--power", str(power)]) == 0
@@ -336,6 +342,15 @@ def test_warnings_print_as_tool_diagnostics(tmp_path, capsys):
     assert "samples written" in err.splitlines()[1]
     # the caller's own warning display is back in place
     assert warnings.showwarning is shown_before
+
+
+def test_warning_without_a_stderr_stays_off_stdout(tmp_path, capsys, monkeypatch):
+    # with fd 2 closed sys.stderr is None, and print(..., file=None) would write to stdout
+    power = write_gappy_power(tmp_path)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(["energy", "--power", str(power)]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_energy_overflow_is_data_error(tmp_path, capsys):
@@ -476,11 +491,15 @@ def test_cost_underflow_is_data_error(capsys):
 
 
 def test_cost_table_that_stdout_cannot_encode_is_data_error(capsys, monkeypatch):
-    # the currency, a surrogate escape from argv, and a category label all reach one print
+    # the currency, a surrogate escape from argv, and a category label all reach the one
+    # write of the whole report, so none of it reaches stdout
     for flags in (["--currency", "\u20ac"], ["--currency", "\udcff"], ["--category", "Str\xf6m=5"]):
-        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        written = io.BytesIO()
+        stdout = io.TextIOWrapper(written, encoding="ascii")
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["cost", "--kwh-per-day", "1", "--rate", "0.1", "--months", "12", *flags]) == 2
+        stdout.flush()
+        assert written.getvalue() == b""
         err = capsys.readouterr().err
         assert err.startswith("wattmodel: data error: 'ascii' codec can't encode character")
         assert len(err.splitlines()) == 1

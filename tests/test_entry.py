@@ -1,7 +1,9 @@
-"""The package and the process around the CLI: lazy exports, BLAS threads, exit path."""
+"""The package and the process around the CLI: lazy exports, BLAS threads, exit path, streams."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +99,25 @@ def traces(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def module_run():
+    """`python -m wattmodel` on argv with stderr piped, or with fd 2 closed (close_stderr).
+
+    Each distinct run is made once in the module, and the tests that ask for it share it.
+    """
+    done = {}
+
+    def run(argv, close_stderr=False):
+        key = (tuple(argv), close_stderr)
+        if key not in done:
+            done[key] = subprocess.run(
+                [sys.executable, "-m", "wattmodel", *argv], capture_output=True,
+                env=child_env(), preexec_fn=(lambda: os.close(2)) if close_stderr else None)
+        return done[key]
+
+    return run
+
+
 COMMANDS = {
     "help": (0, ["--help"]),
     "fit": (0, ["fit", "--metrics", "{m}", "--power", "{p}", "--out", "{model}"]),
@@ -113,16 +134,61 @@ COMMANDS = {
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="predict writes to /dev/stdout")
 @pytest.mark.parametrize("command", COMMANDS)
-def test_module_entry_writes_what_main_writes(command, traces, capfdbinary):
+def test_module_entry_writes_what_main_writes(command, traces, module_run, capfdbinary):
     expected_code, argv = COMMANDS[command]
     argv = [arg.format(**traces) for arg in argv]
     assert main(argv) == expected_code
     out, err = capfdbinary.readouterr()
-    done = subprocess.run([sys.executable, "-m", "wattmodel", *argv], capture_output=True,
-                          env=child_env())
+    done = module_run(argv)
     assert (done.returncode, done.stdout, done.stderr) == (expected_code, out, err)
     if command in ("predict_to_stdout", "cost_1000_years"):
         assert len(out) > 64 * 1024  # more than a pipe holds, so a lost buffer shows
+
+
+# fit --json and simulate --json as well: their diagnostics precede the JSON
+WITH_JSON = dict(
+    COMMANDS,
+    fit_json=(0, [*COMMANDS["fit"][1], "--json"]),
+    simulate_json=(0, ["simulate", "--duration-s", "6000", "--out-metrics", os.devnull,
+                       "--out-power", os.devnull, "--json"]),
+)
+CREATED_AT = re.compile(rb'"created_at": [^,\n]+')  # the one field that differs between fits
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="predict writes to /dev/stdout")
+@pytest.mark.parametrize("command", WITH_JSON)
+def test_closed_stderr_changes_nothing_on_stdout(command, traces, module_run):
+    # with fd 2 closed sys.stderr is None, and print(..., file=None) would write to stdout
+    expected_code, argv = WITH_JSON[command]
+    argv = [arg.format(**traces) for arg in argv]
+    piped, closed = module_run(argv), module_run(argv, close_stderr=True)
+    assert piped.returncode == expected_code
+    assert (closed.returncode, CREATED_AT.sub(b"", closed.stdout), closed.stderr) == (
+        expected_code, CREATED_AT.sub(b"", piped.stdout), b"")
+
+
+def test_only_out_and_err_write_the_standard_streams():
+    # one writer per stream: cli._out writes results, cli._err diagnostics; a print or a
+    # sys.stdout/sys.stderr write or flush anywhere else could mix the two streams
+    writers, found = [], []
+    for path in sorted(Path(wattmodel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed = set()
+        for node in tree.body:
+            if (path.name == "cli.py" and isinstance(node, ast.FunctionDef)
+                    and node.name in ("_out", "_err")):
+                writers.append(node.name)
+                allowed.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if id(node) in allowed or not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "print") or (
+                    isinstance(func, ast.Attribute) and func.attr in ("write", "flush")
+                    and ast.unparse(func.value) in ("sys.stdout", "sys.stderr")):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+    assert writers == ["_out", "_err"]
 
 
 def test_stdout_that_cannot_be_flushed_is_a_data_error():
