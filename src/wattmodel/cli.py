@@ -2,7 +2,8 @@
 
 Exit codes:
   0  success
-  1  usage error (unknown/missing flags, out-of-range flag values)
+  1  usage error (unknown/missing flags, out-of-range flag values, an output
+     that names an input file or the other output)
   2  data or validation error (unreadable files, malformed CSV or model
      JSON, empty alignment, too few rows)
   3  numerical error (rank-deficient design)
@@ -19,6 +20,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -92,9 +94,12 @@ def _out(text: str) -> None:
 
 
 def _err(line: str) -> None:
-    """The one stderr writer: one line; nothing without a stderr (no fd 2)."""
+    """The one stderr writer: one line; nothing without a stderr (no fd 2) or on a failed write."""
     if sys.stderr is not None:
-        sys.stderr.write(line + "\n")
+        try:
+            sys.stderr.write(line + "\n")
+        except OSError:  # an unwritable stderr (a full device, say) is treated as a closed one
+            pass
 
 
 def _table(text: str) -> str:
@@ -148,6 +153,25 @@ def _check_tolerance(args) -> None:
         raise UsageError(f"--tolerance-s must be > 0, got {tolerance}")
 
 
+def _file_key(path: str):
+    """The regular file at path, or the one writing to it would make; None for a device or pipe."""
+    try:
+        found = os.stat(path)
+    except OSError:  # not there yet
+        return os.path.realpath(path)
+    return (found.st_dev, found.st_ino) if stat.S_ISREG(found.st_mode) else None
+
+
+def _check_outputs(args, outputs, inputs=()) -> None:
+    """UsageError if an output flag names the regular file of an input or of another output."""
+    named = {}
+    for flag in (*inputs, *outputs):
+        key = _file_key(getattr(args, flag.replace("-", "_")))
+        if key is not None and key in named and flag in outputs:
+            raise UsageError(f"--{flag} names the same file as --{named[key]}")
+        named.setdefault(key, flag)
+
+
 def _paired(args):
     """--metrics aligned with --power, its dropped samples counted on stderr.
 
@@ -169,6 +193,7 @@ def _paired(args):
 
 def cmd_fit(args) -> str:
     _check_tolerance(args)
+    _check_outputs(args, ["out"], ["metrics", "power"])
     model = train(_paired(args), hardware_id=args.hardware_id)
     document = save_model(model)
     Path(args.out).write_text(document, encoding="utf-8")
@@ -183,6 +208,7 @@ def cmd_fit(args) -> str:
 
 
 def cmd_predict(args) -> str:
+    _check_outputs(args, ["out"], ["model", "metrics"])
     model = load_model(_read_text(args.model))
     metrics = _parse_file(parse_metrics, args.metrics)
     if not metrics:
@@ -300,6 +326,7 @@ def _from_flags(cls, args, **given):
 
 
 def cmd_simulate(args) -> str:
+    _check_outputs(args, ["out-metrics", "out-power"])
     config = _from_flags(SimConfig, args, truth=_from_flags(GroundTruth, args))
     metrics, power = generate(config)
     with Path(args.out_metrics).open("w", encoding="utf-8") as out:

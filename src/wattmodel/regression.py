@@ -175,7 +175,7 @@ def _fit_from_r(
     xtx_inv_diag = (r_inv * r_inv).sum(axis=1)
     std_errors = np.sqrt(sigma2 * xtx_inv_diag)
 
-    with np.errstate(all="ignore"):  # a zero standard error gives t = ±inf, or 0 where beta = 0
+    with np.errstate(all="ignore"):  # se = 0 gives t = ±inf, refused below, or 0 where beta = 0
         t_stats = beta / std_errors
     t_stats[np.isnan(t_stats)] = 0.0
     p_values = tuple(student_t_sf(float(t), df) for t in t_stats)
@@ -189,8 +189,8 @@ def _fit_from_r(
     with np.errstate(over="ignore"):
         beta, std_errors = np.ldexp([beta, std_errors], exponent[p] - exponent[:p])
         residual_sigma = float(np.ldexp(math.sqrt(sigma2), exponent[p]))
-    for name, finite in zip(COLUMN_NAMES, np.isfinite(beta) & np.isfinite(std_errors)):
-        if not finite:
+    for name, *values in zip(COLUMN_NAMES, beta.tolist(), std_errors.tolist(), t_stats.tolist()):
+        if not all(map(math.isfinite, values)):
             raise RegressionError(f"the fit for column {name!r} is outside the float range")
     if not math.isfinite(residual_sigma):
         raise RegressionError("the residual sigma is outside the float range")

@@ -19,10 +19,10 @@ PowerSample). CSV is read from text or an open text file in one pass, a
 block of lines at a time, and written to an open text file a block of rows
 at a time.
 
-align pairs each metric sample with its nearest power sample, walking the
-metric timestamps in blocks, and keeps only how many rows each block kept.
+_pair_rows pairs each metric sample with its nearest power sample, walking the
+metric timestamps in blocks. align keeps only how many rows it paired, and
 _paired_blocks yields the paired rows as AlignedRow blocks of columns, pairing
-those metric blocks again; train, evaluate and AlignedTrace.rows read them.
+them again; train, evaluate and AlignedTrace.rows read them.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ POWER_HEADER = ",".join(PowerSample._fields)
 # the fit reuse: with 64 KiB blocks fit's peak RSS on 28,800 rows rose.
 _READ_CHARS = 1 << 13
 _WRITE_ROWS = 4096
-# align walks the metric timestamps this many at a time.
+# _pair_rows walks the metric timestamps this many at a time.
 _PAIR_ROWS = 4096
 # On lines of only these characters, np.loadtxt reads each field as float() does.
 _PLAIN_BLOCK = re.compile(r"[0-9.eE+\-,\n]*")
@@ -261,20 +261,15 @@ class PowerTrace(_Columns):
 
 @dataclass(frozen=True, eq=False)
 class AlignedTrace:
-    """What align returns: the paired rows of metrics and power, found again as they are read.
-
-    kept counts, for each _PAIR_ROWS block of metrics, the samples that find a power sample
-    within tolerance_s; the length is their sum, the number of paired rows.
-    """
+    """What align returns: the paired rows of metrics and power, found again as they are read."""
 
     metrics: MetricTrace
     power: PowerTrace
     tolerance_s: float
-    kept: np.ndarray
     source_meta: AlignmentMeta
 
     def __len__(self) -> int:
-        return int(self.kept.sum())
+        return self.source_meta.n_metrics - self.source_meta.n_dropped
 
     @property
     def rows(self) -> tuple[AlignedRow, ...]:
@@ -452,18 +447,17 @@ def align(metrics, power, tolerance_s: float) -> AlignedTrace:
     if not (tolerance_s > 0.0) or not math.isfinite(tolerance_s):
         raise TraceError(f"tolerance_s must be a positive number, got {tolerance_s}")
     metrics, power = MetricTrace.of(metrics), PowerTrace.of(power)
-    starts = range(0, len(metrics) if len(power) else 0, _PAIR_ROWS)  # no power sample, no pair
-    kept = np.array([rows.shape[1] for rows in _pair_rows(metrics, power, tolerance_s, starts)])
-    meta = AlignmentMeta(len(metrics), len(power), n_dropped=len(metrics) - int(kept.sum()))
-    if not kept.any():
+    n = sum(pairs.shape[1] for pairs in _pair_rows(metrics, power, tolerance_s))
+    meta = AlignmentMeta(len(metrics), len(power), n_dropped=len(metrics) - n)
+    if not n:
         raise AlignmentError(tolerance_s, meta)
-    return AlignedTrace(metrics, power, tolerance_s, kept, meta)
+    return AlignedTrace(metrics, power, tolerance_s, meta)
 
 
-def _pair_rows(metrics, power, tolerance_s: float, starts):
-    """Per start: the kept rows of the _PAIR_ROWS metric samples from it, over their power rows."""
+def _pair_rows(metrics, power, tolerance_s: float):
+    """Per _PAIR_ROWS block of metric samples, in order: its kept rows over their power rows."""
     stamps, power_stamps = metrics.timestamp, power.timestamp
-    for start in starts:
+    for start in range(0, len(metrics) if len(power) else 0, _PAIR_ROWS):  # no power, no pair
         block = stamps[start:start + _PAIR_ROWS]
         # first power sample at or after, searched among those within reach of the block
         low, high = np.searchsorted(power_stamps, block[[0, -1]])
@@ -491,8 +485,7 @@ def _paired_blocks(aligned: AlignedTrace, block_rows: int):
     """
     metrics, power, n = aligned.metrics, aligned.power, len(aligned)
     count = max(1, n // block_rows)
-    starts = np.flatnonzero(aligned.kept) * _PAIR_ROWS
-    pieces = _pair_rows(metrics, power, aligned.tolerance_s, starts)
+    pieces = _pair_rows(metrics, power, aligned.tolerance_s)
     held = np.empty((2, 0), dtype=np.intp)  # pairs read from pieces but not yet yielded
     for i in range(count):
         rows = slice(n * i // count, n * (i + 1) // count)

@@ -94,8 +94,8 @@ def test_align_matches_brute_force_across_block_seams(block_rows, case):
 @settings(max_examples=300, deadline=None)
 @given(case=streams())
 def test_align_matches_brute_force_across_pairing_blocks(block_rows, case):
-    # align walks the metric stamps trace._PAIR_ROWS (4,096) at a time, and
-    # the blocks read back join the kept rows of many smaller walks: their seams
+    # _pair_rows walks the metric stamps trace._PAIR_ROWS (4,096) at a time, and
+    # the blocks read back join the kept rows of many smaller blocks: their seams
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace_module, "_PAIR_ROWS", block_rows)
         check_align_against_brute_force(case)

@@ -592,6 +592,28 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+OUTPUT_CLASHES = {
+    "fit": (["fit", "--metrics", "{m}", "--power", "{p}", "--out", "{m}"],
+            "--out names the same file as --metrics"),
+    "predict": (["predict", "--model", "{model}", "--metrics", "{m}", "--out", "{m}"],
+                "--out names the same file as --metrics"),
+    "simulate": (["simulate", "--out-metrics", "{new}", "--out-power", "{new}"],
+                 "--out-power names the same file as --out-metrics"),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_CLASHES)
+def test_an_output_naming_an_input_or_the_other_output_is_usage_error(tmp_path, capsys, case):
+    model_path, metrics_path, power_path = fit_model_file(tmp_path)
+    argv, message = OUTPUT_CLASHES[case]
+    paths = dict(m=metrics_path, p=power_path, model=model_path, new=tmp_path / "new.csv")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"wattmodel: error: {message}\n")
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_missing_files_exit_2(tmp_path, capsys):
     rc = main(["fit", "--metrics", str(tmp_path / "nope.csv"),
                "--power", str(tmp_path / "nope2.csv"),

@@ -142,6 +142,18 @@ def trace_pair(draw):
     return metrics, _csv(draw, "timestamp,power_w", power_stamps, [MAGNITUDES[1:]])
 
 
+# An exact fit: every power_w is 5e-324, so the intercept's standard error is 0 and its t
+# statistic would be infinite, which the model file cannot hold as JSON.
+EXACT_STAMPS = (-1.0, -1e-300, -5e-324, 0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308)
+EXACT_FIT = (
+    "timestamp,cpu,mem,disk,net\n" + "".join(f"{t!r},{row}\n" for t, row in zip(EXACT_STAMPS, (
+        "1e-310,1e-310,0,1e-320", "1e-310,1e-310,1e-320,1e-310", "1e-320,5e-324,5e-324,1e-320",
+        "5e-324,0,1e-320,5e-324", "1e-320,0,0,1e-320", "1e-310,0,1e-320,1e-310",
+        "1e-320,5e-324,1e-310,1e-310", "1e-320,0,0,0", "1e-310,0,1e-310,1e-320"))),
+    "timestamp,power_w\n" + "".join(f"{t!r},5e-324\n" for t in EXACT_STAMPS),
+)
+
+
 def _check_data_command(argv, capsys) -> int:
     code = main(argv)
     out, err = capsys.readouterr()
@@ -154,6 +166,7 @@ def _check_data_command(argv, capsys) -> int:
 
 @PROPERTY
 @given(traces=trace_pair())
+@example(traces=EXACT_FIT)
 def test_data_commands_never_raise(tmp_path, capsys, traces):
     metrics, power = traces
     metrics_path, power_path = tmp_path / "m.csv", tmp_path / "p.csv"
@@ -172,3 +185,16 @@ def test_data_commands_never_raise(tmp_path, capsys, traces):
         ["energy", f"--model={model_path}", f"--metrics={metrics_path}"],
     ):
         _check_data_command(argv, capsys)
+
+
+def test_an_infinite_t_statistic_is_a_data_error_and_writes_no_model(tmp_path, capsys):
+    metrics_path, power_path = tmp_path / "m.csv", tmp_path / "p.csv"
+    metrics_path.write_text(EXACT_FIT[0], encoding="utf-8")
+    power_path.write_text(EXACT_FIT[1], encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    assert main(["fit", f"--metrics={metrics_path}", f"--power={power_path}",
+                 f"--out={model_path}", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not model_path.exists()
+    assert err.splitlines()[-1] == (
+        "wattmodel: data error: the fit for column 'intercept' is outside the float range")

@@ -99,20 +99,29 @@ def traces(tmp_path_factory):
     return paths
 
 
+# What each stderr mode does to the child's fd 2 once it is piped: nothing, close it,
+# or point it at a device where every write fails
+STDERR_MODES = {
+    "piped": None,
+    "closed": lambda: os.close(2),
+    "full": lambda: os.dup2(os.open("/dev/full", os.O_WRONLY), 2),
+}
+
+
 @pytest.fixture(scope="module")
 def module_run():
-    """`python -m wattmodel` on argv with stderr piped, or with fd 2 closed (close_stderr).
+    """`python -m wattmodel` on argv with stderr in one of STDERR_MODES.
 
     Each distinct run is made once in the module, and the tests that ask for it share it.
     """
     done = {}
 
-    def run(argv, close_stderr=False):
-        key = (tuple(argv), close_stderr)
+    def run(argv, stderr="piped"):
+        key = (tuple(argv), stderr)
         if key not in done:
             done[key] = subprocess.run(
                 [sys.executable, "-m", "wattmodel", *argv], capture_output=True,
-                env=child_env(), preexec_fn=(lambda: os.close(2)) if close_stderr else None)
+                env=child_env(), preexec_fn=STDERR_MODES[stderr])
         return done[key]
 
     return run
@@ -158,13 +167,16 @@ CREATED_AT = re.compile(rb'"created_at": [^,\n]+')  # the one field that differs
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="predict writes to /dev/stdout")
 @pytest.mark.parametrize("command", WITH_JSON)
 def test_closed_stderr_changes_nothing_on_stdout(command, traces, module_run):
-    # with fd 2 closed sys.stderr is None, and print(..., file=None) would write to stdout
+    # with fd 2 closed sys.stderr is None, and print(..., file=None) would write to stdout;
+    # on /dev/full every stderr write raises, and a stderr that cannot be written is a closed one
     expected_code, argv = WITH_JSON[command]
     argv = [arg.format(**traces) for arg in argv]
-    piped, closed = module_run(argv), module_run(argv, close_stderr=True)
+    piped = module_run(argv)
     assert piped.returncode == expected_code
-    assert (closed.returncode, CREATED_AT.sub(b"", closed.stdout), closed.stderr) == (
-        expected_code, CREATED_AT.sub(b"", piped.stdout), b"")
+    for mode in ("closed", "full") if os.path.exists("/dev/full") else ("closed",):
+        ended = module_run(argv, stderr=mode)
+        assert (ended.returncode, CREATED_AT.sub(b"", ended.stdout), ended.stderr) == (
+            expected_code, CREATED_AT.sub(b"", piped.stdout), b""), mode
 
 
 def test_only_out_and_err_write_the_standard_streams():

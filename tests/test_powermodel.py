@@ -281,7 +281,7 @@ def test_evaluate_symmetric_errors_average():
 
 
 def empty_trace():
-    return AlignedTrace(MetricTrace(), PowerTrace(), 30.0, np.zeros(0, dtype=int),
+    return AlignedTrace(MetricTrace(), PowerTrace(), 30.0,
                         AlignmentMeta(n_metrics=0, n_power=0, n_dropped=0))
 
 

@@ -411,8 +411,8 @@ def test_align_out_of_tolerance_raises_with_counts():
 
 
 def test_pair_holds_under_two_bytes_per_metric_row():
-    # align walks the metric timestamps in blocks and keeps one count of kept
-    # rows per block; the paired rows are found again as they are read
+    # align walks the metric timestamps in blocks and keeps only how many rows
+    # it paired; the paired rows are found again as they are read
     n = 200_000
     stamps = np.arange(n) * 2.0
     metrics = MetricTrace(np.column_stack([stamps, np.full((n, 4), 0.5)]))
